@@ -5,18 +5,28 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Snapshot the committed bench/summary files: the smoke runs below overwrite
+# Snapshots and smoke outputs live in a private scratch directory, so two
+# concurrent runs never clobber each other's files.
+tmp="$(mktemp -d)"
+export CI_TMP="$tmp"
+
+# Snapshot the bench/summary files that exist: the smoke runs below overwrite
 # them in the working tree, and the regression gate needs the committed one.
+# `experiments_summary.json` is gitignored, so a fresh clone has none; there
+# the sequential run's summary is left in place for the workflow to upload.
 # The restore runs from a trap so that *any* exit — success, a failed smoke
-# run, or an interrupt — puts the committed artifacts back and never leaves
-# the worktree dirty. INT/TERM/HUP are trapped explicitly because bash does
-# not run the EXIT trap when killed by an untrapped signal.
-cp BENCH_experiments.json /tmp/bench_committed.json
-cp experiments_summary.json /tmp/summary_committed.json
+# run, or an interrupt — puts the snapshots back and never leaves the
+# worktree dirty. INT/TERM/HUP are trapped explicitly because bash does not
+# run the EXIT trap when killed by an untrapped signal.
+ARTIFACTS=(BENCH_experiments.json experiments_summary.json)
+for f in "${ARTIFACTS[@]}"; do
+    if [ -f "$f" ]; then cp "$f" "$tmp/committed_$f"; fi
+done
 restore_artifacts() {
-    [ -f /tmp/bench_committed.json ] && cp /tmp/bench_committed.json BENCH_experiments.json
-    [ -f /tmp/summary_committed.json ] && cp /tmp/summary_committed.json experiments_summary.json
-    return 0
+    for f in "${ARTIFACTS[@]}"; do
+        if [ -f "$tmp/committed_$f" ]; then cp "$tmp/committed_$f" "$f"; fi
+    done
+    rm -rf "$tmp"
 }
 trap restore_artifacts EXIT
 trap 'restore_artifacts; trap - INT; kill -INT $$' INT
@@ -50,31 +60,29 @@ echo "==> registry validation (components + scenario manifest)"
 # scenario added without updating the manifest (or silently dropped by a
 # refactor) fails here before any experiment runs.
 ./target/release/run_scenario --validate-registry
-./target/release/run_scenario --list-names > /tmp/scenario_names.txt
-diff -u tests/scenario_manifest.txt /tmp/scenario_names.txt || {
+./target/release/run_scenario --list-names > "$tmp/scenario_names.txt"
+diff -u tests/scenario_manifest.txt "$tmp/scenario_names.txt" || {
     echo "scenario registry diverged from tests/scenario_manifest.txt;"
     echo "regenerate with: ./target/release/run_scenario --list-names > tests/scenario_manifest.txt"
     exit 1
 }
 echo "registry validation OK"
 
-echo "==> run_all_experiments --quick (parallel, 4 shards)"
-# The parallel leg also runs every scenario through the sharded wave executor
-# (LIFTING_SHARDS is honored by the convenience entry points), so the
-# determinism diff below doubles as a whole-suite sharded-vs-sequential gate.
-LIFTING_SHARDS=4 ./target/release/run_all_experiments --quick
-mv experiments_summary.json /tmp/summary_parallel.json
+echo "==> run_all_experiments --quick (parallel)"
+./target/release/run_all_experiments --quick
+mv experiments_summary.json "$tmp/summary_parallel.json"
 
 echo "==> run_all_experiments --quick --sequential"
 ./target/release/run_all_experiments --quick --sequential
-mv experiments_summary.json /tmp/summary_sequential.json
-cp BENCH_experiments.json /tmp/bench_sequential.json
+cp experiments_summary.json "$tmp/summary_sequential.json"
+cp BENCH_experiments.json "$tmp/bench_sequential.json"
 
 echo "==> determinism check (parallel vs sequential)"
 python3 - <<'EOF'
-import json, sys
-a = json.load(open('/tmp/summary_parallel.json'))
-b = json.load(open('/tmp/summary_sequential.json'))
+import json, os, sys
+tmp = os.environ['CI_TMP']
+a = json.load(open(f'{tmp}/summary_parallel.json'))
+b = json.load(open(f'{tmp}/summary_sequential.json'))
 skip = {'timings_secs', 'total_wall_secs', 'workers', 'per_scale_timings', 'speedup_vs_seed'}
 a = {k: v for k, v in a.items() if k not in skip}
 b = {k: v for k, v in b.items() if k not in skip}
@@ -96,7 +104,7 @@ if 'resilience' not in a or not a['resilience']:
     sys.exit('summary is missing the resilience sweep')
 # And the workload sweep: trace-driven membership plans expand from their own
 # RNG stream and drive depart/rejoin/resubscribe events through the executor,
-# all of which must stay bit-deterministic under workers and shards.
+# all of which must stay bit-deterministic under the worker pool.
 if 'workload' not in a or not a['workload']:
     sys.exit('summary is missing the workload sweep')
 print('parallel and sequential outputs are identical '
@@ -107,10 +115,10 @@ echo "==> fault-injection smoke (quick scale)"
 # One resilience scenario end to end outside the summary plumbing: partition
 # waves must produce aborted (never wrongfully blamed) audits, and the run
 # must finish with a live stream.
-./target/release/run_scenario resilience/partition-waves --quick > /tmp/fault_smoke.json
+./target/release/run_scenario resilience/partition-waves --quick > "$tmp/fault_smoke.json"
 python3 - <<'EOF'
-import json, sys
-d = json.load(open('/tmp/fault_smoke.json'))
+import json, os, sys
+d = json.load(open(os.environ['CI_TMP'] + '/fault_smoke.json'))
 rpc = d.get('audit_rpc') or {}
 if not rpc.get('aborted_unreachable'):
     sys.exit('fault smoke: partition waves produced no aborted audits')
@@ -123,33 +131,28 @@ if not health or health[-1] <= 0.2:
 print('fault-injection smoke OK')
 EOF
 
-echo "==> scale smoke (scale/1k sharded vs sequential, paper scale)"
+echo "==> scale smoke (scale/1k, paper scale)"
 # One beyond-golden-size scenario (n=1000, the first population that uses the
-# large-world manager sampler) through the sharded wave executor: the readout
-# must match the sequential run byte for byte at 4 shards, and the memory
-# metric must stay within the per-node budget the scale/ family exists to
-# protect.
-./target/release/run_scenario scale/1k > /tmp/scale_sequential.json
-./target/release/run_scenario scale/1k --shards 4 > /tmp/scale_sharded.json
+# large-world manager sampler): the memory metric must stay within the
+# per-node budget the scale/ family exists to protect, and the stream must
+# stay healthy.
+./target/release/run_scenario scale/1k > "$tmp/scale.json"
 python3 - <<'EOF'
-import json, sys
-a = json.load(open('/tmp/scale_sequential.json'))
-b = json.load(open('/tmp/scale_sharded.json'))
-if a != b:
-    diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
-    sys.exit(f'scale smoke: sharded readout diverged from sequential: {sorted(diff)}')
+import json, os, sys
+a = json.load(open(os.environ['CI_TMP'] + '/scale.json'))
 mem = a.get('memory_per_node_bytes') or 0
 if not 0 < mem < 1_000_000:
     sys.exit(f'scale smoke: memory_per_node_bytes out of range ({mem})')
 health = (a.get('stream_health') or {}).get('fraction_clear') or []
 if not health or health[-1] <= 0.2:
     sys.exit(f'scale smoke: stream collapsed at n=1000 ({health[-1:]})')
-print(f'scale smoke OK (sharded == sequential, {mem/1024:.1f} KiB/node)')
+print(f'scale smoke OK ({mem/1024:.1f} KiB/node)')
 EOF
 
 echo "==> bench smoke (quick wall-clock vs committed baseline)"
 python3 - <<'EOF'
-import json, sys
+import json, os, sys
+tmp = os.environ['CI_TMP']
 
 def quick_total(d):
     scales = d.get('scales')
@@ -159,8 +162,8 @@ def quick_total(d):
         return d.get('total_wall_secs')
     return None
 
-committed = quick_total(json.load(open('/tmp/bench_committed.json')))
-fresh = quick_total(json.load(open('/tmp/bench_sequential.json')))
+committed = quick_total(json.load(open(f'{tmp}/committed_BENCH_experiments.json')))
+fresh = quick_total(json.load(open(f'{tmp}/bench_sequential.json')))
 if committed is None:
     sys.exit('committed BENCH_experiments.json has no Quick-scale total')
 if fresh is None:

@@ -8,15 +8,13 @@
 //! optimization pass; keep it honest when touching the hot path.
 //!
 //! Flags: `--scenario NAME` picks the profiled scenario (default
-//! `headline/planetlab`); `--shards K` additionally re-runs it through the
-//! shard-parallel wave executor and prints the per-shard event and mailbox
-//! counters (waves formed, events executed in waves, intra- vs cross-shard
-//! staged actions, and the full src→dst mailbox matrix).
+//! `headline/planetlab`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use lifting_bench::cli::Spec;
 use lifting_runtime::{run_scenario, Scale, ScenarioConfig, ScenarioRegistry};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -46,7 +44,7 @@ fn time_run(label: &str, config: &ScenarioConfig) {
     println!("{label:<44} {:8.3}s", start.elapsed().as_secs_f64());
 }
 
-fn headline_breakdown(base: &ScenarioConfig) -> u64 {
+fn headline_breakdown(base: &ScenarioConfig) {
     let start = Instant::now();
     let mut engine = lifting_runtime::build_engine(base.clone());
     let build_secs = start.elapsed().as_secs_f64();
@@ -78,55 +76,6 @@ fn headline_breakdown(base: &ScenarioConfig) -> u64 {
                 "  {cat:?}: sent {} delivered {}",
                 stats.messages_sent, stats.messages_delivered
             );
-        }
-    }
-    outcome.traffic.total_messages_sent
-}
-
-/// Re-runs the scenario through the shard-parallel wave executor and prints
-/// its observability counters. The outcome is bit-identical to the sequential
-/// run (asserted here on the cheap totals); what this section adds is the
-/// execution-shape readout: how many same-timestamp waves formed, how many
-/// events they covered, and how the staged actions split between intra-shard
-/// commits and cross-shard mailbox traffic.
-fn sharded_breakdown(base: &ScenarioConfig, shards: usize, sequential_msgs: u64) {
-    use lifting_sim::SimTime;
-
-    let mut engine = lifting_runtime::build_engine(base.clone());
-    engine.world_mut().set_shard_count(shards);
-    let start = Instant::now();
-    engine.run_until_sharded(SimTime::ZERO + base.duration);
-    let run_secs = start.elapsed().as_secs_f64();
-    let world = engine.world();
-    let k = world.shard_count();
-    let ranges: Vec<String> = (0..k)
-        .map(|s| {
-            let (lo, hi) = world.shard_range(s);
-            format!("{lo}..{hi}")
-        })
-        .collect();
-    println!(
-        "sharded run ({k} shards: {})           {run_secs:8.3}s",
-        ranges.join(", ")
-    );
-    let msgs = world.traffic_messages_sent();
-    assert_eq!(
-        msgs, sequential_msgs,
-        "sharded run diverged from sequential (messages {msgs} vs {sequential_msgs})"
-    );
-    if let Some((waves, wave_events, intra, cross)) = world.wave_stats() {
-        let staged = intra + cross;
-        println!(
-            "  waves {waves}  events-in-waves {wave_events}  staged actions {staged} \
-             (intra {intra}, cross {cross}, cross share {:.1}%)",
-            100.0 * cross as f64 / (staged.max(1)) as f64
-        );
-        println!("  mailbox pushes (src shard -> dst shard):");
-        for src in 0..k {
-            let row: Vec<String> = (0..k)
-                .map(|dst| format!("{:>10}", world.wave_mailbox_pushed(src, dst)))
-                .collect();
-            println!("    {src} | {}", row.join(" "));
         }
     }
 }
@@ -356,34 +305,24 @@ fn component_micro_timings() {
     }
 }
 
-/// Parses `--flag VALUE` from argv; `None` when the flag is absent, panics
-/// (with a usage hint) when the value is missing or malformed.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    Some(
-        args.get(pos + 1)
-            .unwrap_or_else(|| panic!("usage: profile_scenario [--scenario NAME] [--shards K]"))
-            .clone(),
-    )
-}
+const SPEC: Spec = Spec {
+    usage: "usage: profile_scenario [--scenario NAME]",
+    switches: &[],
+    options: &["--scenario"],
+    max_positionals: 0,
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scenario = flag_value(&args, "--scenario").unwrap_or_else(|| "headline/planetlab".into());
-    let shards: usize = flag_value(&args, "--shards")
-        .map(|v| v.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(1);
-
+    let args = SPEC.parse_env_or_exit();
+    let scenario = args.value("--scenario").unwrap_or("headline/planetlab");
     let registry = ScenarioRegistry::builtin();
-    let base = registry.build(&scenario, Scale::Quick, 30);
+    if !registry.contains(scenario) {
+        SPEC.exit_invalid(&format!("unknown scenario {scenario:?}"));
+    }
+    let base = registry.build(scenario, Scale::Quick, 30);
 
     println!("-- {scenario} quick run ------------------------------------------");
-    let sequential_msgs = headline_breakdown(&base);
-
-    if shards > 1 {
-        println!("-- sharded execution -------------------------------------------");
-        sharded_breakdown(&base, shards, sequential_msgs);
-    }
+    headline_breakdown(&base);
 
     println!("-- per-event-kind attribution ----------------------------------");
     per_event_kind_attribution(&base);

@@ -25,6 +25,7 @@
 
 use std::time::Instant;
 
+use lifting_bench::cli::Spec;
 use lifting_bench::experiments::*;
 use lifting_runtime::{run_jobs_parallel, ScenarioRegistry};
 use serde_json::{json, to_value, Value};
@@ -53,9 +54,9 @@ const SEED_QUICK_JOBS: [&str; 9] = [
     "table5",
 ];
 
-/// Paper-scale wall-clock of the heaviest jobs as committed by the previous
-/// revision's single-worker snapshot — the baseline the sharded-world PR's
-/// speedup is measured against (`heavy_job_speedup` in the bench snapshot).
+/// Paper-scale wall-clock of the heaviest jobs as committed by an earlier
+/// single-worker snapshot — the baseline `heavy_job_speedup` in the bench
+/// snapshot is measured against.
 const PRIOR_PAPER_HEAVY_SECS: [(&str, f64); 3] = [
     ("churn", 6.629641466),
     ("multistream", 4.380693119),
@@ -139,8 +140,8 @@ fn build_jobs(scale: Scale, heavy_scale_tier: bool) -> Vec<Job> {
 
 /// Recursively removes `key` from every object of a value tree — used to
 /// keep the nondeterministic per-population `wall_secs` timings out of
-/// `experiments_summary.json` (which CI diffs bit-for-bit across worker and
-/// shard counts) while `BENCH_experiments.json` keeps them.
+/// `experiments_summary.json` (which CI diffs bit-for-bit across worker
+/// counts) while `BENCH_experiments.json` keeps them.
 fn strip_key(value: &Value, key: &str) -> Value {
     match value {
         Value::Object(entries) => Value::Object(
@@ -223,33 +224,33 @@ fn run_suite(scale: Scale, filter: Option<&str>, heavy_scale_tier: bool) -> Suit
     }
 }
 
+const SPEC: Spec = Spec {
+    usage: "usage: run_all_experiments [--quick | --paper | --both] [--sequential] \
+            [--filter SUBSTRING] [--tier scale-heavy] [--list]",
+    switches: &["--quick", "--paper", "--both", "--sequential", "--list"],
+    options: &["--filter", "--tier"],
+    max_positionals: 0,
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--list") {
+    let args = SPEC.parse_env_or_exit();
+    if args.has("--list") {
         lifting_bench::listing::print_registry_listing();
         return;
     }
-    if args.iter().any(|a| a == "--sequential") {
+    if args.has("--sequential") {
         std::env::set_var(lifting_sim::pool::WORKERS_ENV, "1");
     }
-    let both = args.iter().any(|a| a == "--both");
-    let quick_only = args.iter().any(|a| a == "--quick") && !both;
-    let filter: Option<String> = args
-        .iter()
-        .position(|a| a == "--filter")
-        .map(|i| args.get(i + 1).expect("--filter needs a substring").clone());
-    let heavy_scale_tier = args
-        .iter()
-        .position(|a| a == "--tier")
-        .map(|i| {
-            let tier = args.get(i + 1).expect("--tier needs a name");
-            assert!(
-                tier == "scale-heavy",
-                "unknown tier {tier:?}; the only opt-in tier is scale-heavy"
-            );
-            true
-        })
-        .unwrap_or(false);
+    let both = args.has("--both");
+    let quick_only = args.has("--quick") && !both;
+    let filter: Option<String> = args.value("--filter").map(str::to_string);
+    let heavy_scale_tier = match args.value("--tier") {
+        None => false,
+        Some("scale-heavy") => true,
+        Some(tier) => SPEC.exit_invalid(&format!(
+            "unknown tier {tier:?}; the only opt-in tier is scale-heavy"
+        )),
+    };
     let workers = lifting_sim::worker_count(usize::MAX);
     eprintln!("experiment suite on {workers} worker(s)");
 
@@ -305,14 +306,10 @@ fn main() {
             "quick_total_wall_secs": run.total_secs,
         })
     });
-    // Paper-scale wall-clock of the heavy jobs against the previously
-    // committed single-worker snapshot — the sharded/SoA PR's measured win.
+    // Paper-scale wall-clock of the heavy jobs against the earlier committed
+    // single-worker snapshot.
     let paper_run = runs.iter().find(|r| r.scale == Scale::Paper);
     let heavy_job_speedup = paper_run.map(|run| {
-        let shards: usize = std::env::var(lifting_runtime::SHARDS_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
         Value::Object(
             PRIOR_PAPER_HEAVY_SECS
                 .iter()
@@ -324,7 +321,6 @@ fn main() {
                             "prior_committed_secs": prior,
                             "measured_secs": secs,
                             "speedup": prior / secs.max(1e-9),
-                            "shards": shards,
                         }),
                     ))
                 })

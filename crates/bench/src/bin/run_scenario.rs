@@ -1,16 +1,14 @@
 //! Runs one registered scenario by name and prints a compact JSON readout —
 //! the CLI face of the scenario registry, used by the CI fault-injection
-//! smoke gate and handy for ad-hoc inspection:
+//! and scale smoke gates and handy for ad-hoc inspection:
 //!
 //! ```text
-//! run_scenario resilience/partition-waves --quick [--seed N] [--shards K]
+//! run_scenario resilience/partition-waves --quick [--seed N]
 //! ```
 //!
-//! `--shards K` runs the scenario through the sharded wave executor; the
-//! readout is bit-identical to the sequential one at any shard count, which
-//! is exactly what the CI scale gate diffs. `--exporter <name>` renders the
-//! outcome through a registered outcome exporter (`json`, `summary-line`,
-//! `digest`) instead of the default readout.
+//! `--exporter <name>` renders the outcome through a registered outcome
+//! exporter (`json`, `summary-line`, `digest`) instead of the default
+//! readout.
 //!
 //! Registry introspection:
 //! * `--list` prints every scenario grouped by family, with its description
@@ -20,62 +18,62 @@
 //! * `--validate-registry` instantiates every registered component of every
 //!   kind with default parameters and exits non-zero on any failure.
 
+use lifting_bench::cli::Spec;
 use lifting_bench::experiments::{Scale, PAPER_ETA};
 use lifting_bench::listing;
-use lifting_runtime::{exporter_components, run_scenario_sharded, ScenarioRegistry};
+use lifting_runtime::{exporter_components, run_scenario, ScenarioRegistry};
 use lifting_sim::{ParamMap, SeedSplitter};
 use serde_json::{json, to_value};
 
+const SPEC: Spec = Spec {
+    usage: "usage: run_scenario <scenario-name> [--quick] [--seed N] [--exporter NAME]\n       \
+            run_scenario --list | --list-names | --validate-registry",
+    switches: &["--quick", "--list", "--list-names", "--validate-registry"],
+    options: &["--seed", "--exporter"],
+    max_positionals: 1,
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = SPEC.parse_env_or_exit();
     let registry = ScenarioRegistry::builtin();
-    if args.iter().any(|a| a == "--list") {
+    if args.has("--list") {
         listing::print_registry_listing();
         return;
     }
-    if args.iter().any(|a| a == "--list-names") {
+    if args.has("--list-names") {
         listing::print_registry_names();
         return;
     }
-    if args.iter().any(|a| a == "--validate-registry") {
+    if args.has("--validate-registry") {
         let validated = listing::validate_component_registries();
         println!("validated {validated} components across 6 registries");
         return;
     }
-    let name = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .expect("usage: run_scenario <scenario-name> [--quick] [--seed N] [--list]");
-    let scale = if args.iter().any(|a| a == "--quick") {
+    let Some(name) = args.positionals().first() else {
+        SPEC.exit_invalid("missing scenario name");
+    };
+    if !registry.contains(name) {
+        SPEC.exit_invalid(&format!("unknown scenario {name:?}; see --list"));
+    }
+    let scale = if args.has("--quick") {
         Scale::Quick
     } else {
         Scale::Paper
     };
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .map(|i| args[i + 1].parse().expect("--seed needs an integer"))
-        .unwrap_or(55);
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| args[i + 1].parse().expect("--shards needs an integer"))
-        .unwrap_or(1);
-    let exporter = args
-        .iter()
-        .position(|a| a == "--exporter")
-        .map(|i| args[i + 1].as_str());
-    assert!(
-        registry.contains(name),
-        "unknown scenario {name:?}; see --list"
-    );
+    let seed: u64 = SPEC.value_or_exit(&args, "--seed").unwrap_or(55);
+    // Resolve the exporter before the run so a bad name fails fast.
+    let exporter = args.value("--exporter").map(|exporter_name| {
+        exporter_components()
+            .build(
+                exporter_name,
+                &ParamMap::new(),
+                &mut SeedSplitter::new(seed),
+            )
+            .unwrap_or_else(|e| SPEC.exit_invalid(&format!("--exporter: {e}")))
+    });
 
-    let outcome = run_scenario_sharded(registry.build(name, scale, seed), shards);
-    if let Some(exporter_name) = exporter {
-        let mut seeds = SeedSplitter::new(seed);
-        let exporter = exporter_components()
-            .build(exporter_name, &ParamMap::new(), &mut seeds)
-            .unwrap_or_else(|e| panic!("--exporter: {e}"));
+    let outcome = run_scenario(registry.build(name, scale, seed));
+    if let Some(exporter) = exporter {
         println!("{}", exporter.export(name, PAPER_ETA, &outcome));
         return;
     }

@@ -949,7 +949,7 @@ pub struct ScaleScenarioResult {
     /// Nodes expelled during the run.
     pub expelled: usize,
     /// Estimated protocol-state heap bytes per node at the end of the run
-    /// (deterministic capacity walk; identical across worker/shard counts).
+    /// (deterministic capacity walk; identical across worker counts).
     pub memory_per_node_bytes: f64,
     /// Fraction of nodes viewing a clear stream at the largest lag.
     pub final_clear_fraction: f64,

@@ -242,8 +242,8 @@ impl GossipNode {
     /// Heap bytes held by this plane's gossip state: chunk store slots, the
     /// infect-and-die bitset, outstanding offers, request expiries and the
     /// playout buffer. A deterministic capacity walk (no allocator queries),
-    /// so the number is identical across worker counts and shard counts;
-    /// shared `Arc` chunk lists are attributed to every holder, making this a
+    /// so the number is identical across worker counts; shared `Arc` chunk
+    /// lists are attributed to every holder, making this a
     /// slight over-estimate rather than an audit.
     pub fn estimated_heap_bytes(&self) -> usize {
         use std::mem::size_of;

@@ -387,7 +387,6 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
         expulsion_voters: vec![Vec::new(); n],
         expelled: vec![false; n],
         hot,
-        wave_exec: None,
         churn,
         churn_departures: 0,
         churn_rejoins: 0,

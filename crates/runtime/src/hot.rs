@@ -6,9 +6,7 @@
 //! structs means a gate check drags a whole `NodeStack` cache line in just to
 //! reject a stale timer. Packing them into dense arrays keeps the hot loop's
 //! working set at a few bytes per node — at 100k nodes the epoch column is
-//! 400 KB instead of 100k scattered struct reads — and gives the sharded
-//! executor a cheap `Sync` view it can share across shard threads while the
-//! stacks themselves are split into disjoint `&mut` ranges.
+//! 400 KB instead of 100k scattered struct reads.
 
 use lifting_sim::NodeId;
 

@@ -165,8 +165,8 @@ impl NodeStack {
 
     /// Heap bytes held by this node's whole protocol state: every stream
     /// plane's gossip and verification structures plus the shared manager
-    /// book. A deterministic capacity walk — identical across worker and
-    /// shard counts — feeding the `memory_per_node_bytes` metric.
+    /// book. A deterministic capacity walk — identical across worker counts
+    /// — feeding the `memory_per_node_bytes` metric.
     pub fn estimated_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let planes: usize = self

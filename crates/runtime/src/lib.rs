@@ -36,7 +36,6 @@ pub mod observe;
 pub mod registry;
 pub mod runner;
 pub mod scenario;
-pub(crate) mod wave;
 pub mod world;
 
 pub use components::{
@@ -54,9 +53,8 @@ pub use registry::{
     ScenarioRegistry, FIG14_PDCCS, TABLE03_PDCCS, TABLE05_PDCCS, TABLE05_STREAM_KBPS,
 };
 pub use runner::{
-    build_engine, run_jobs_parallel, run_scenario, run_scenario_sharded,
-    run_scenario_with_snapshots, run_scenario_with_snapshots_sharded, run_scenarios_parallel,
-    run_scenarios_parallel_with_snapshots, SHARDS_ENV,
+    build_engine, run_jobs_parallel, run_scenario, run_scenario_with_snapshots,
+    run_scenarios_parallel, run_scenarios_parallel_with_snapshots,
 };
 pub use scenario::{
     AdversaryScenario, AuditRetryPolicy, ChurnSchedule, ChurnWave, CollusionScenario,

@@ -285,8 +285,8 @@ pub struct RunOutcome {
     /// scenario exercises the resilience plane.
     pub recovery: Option<RecoveryReport>,
     /// Estimated heap bytes of protocol state per node at the end of the run
-    /// (deterministic capacity walk — identical across worker and shard
-    /// counts; see `SystemWorld::estimated_memory_bytes`).
+    /// (deterministic capacity walk — identical across worker counts; see
+    /// `SystemWorld::estimated_memory_bytes`).
     pub memory_per_node_bytes: f64,
     /// Simulated duration of the run.
     pub duration: SimDuration,

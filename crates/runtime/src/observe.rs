@@ -84,8 +84,8 @@ impl SystemWorld {
     /// every stack, the network's link tables, the directory, the manager
     /// assignment and the world-level dense columns. A deterministic capacity
     /// walk (no allocator queries), so the figure is bit-identical across
-    /// worker counts and shard counts; executor scratch is deliberately
-    /// excluded — it belongs to the runner, not to the simulated system.
+    /// worker counts; engine scratch is deliberately excluded — it belongs
+    /// to the runner, not to the simulated system.
     pub fn estimated_memory_bytes(&self) -> u64 {
         use std::mem::size_of;
         let stacks: usize = self.stacks.iter().map(|s| s.estimated_heap_bytes()).sum();

@@ -26,32 +26,9 @@ pub fn default_lag_grid() -> Vec<SimDuration> {
     (0..=30).map(SimDuration::from_secs).collect()
 }
 
-/// Environment variable selecting the shard count used by the convenience
-/// entry points ([`run_scenario`], [`run_scenario_with_snapshots`] and the
-/// parallel fleets built on them). Outcomes are **bit-identical** at any
-/// value — the knob only changes how node-local event waves are executed —
-/// so CI runs the suite with and without it and diffs the numbers. The
-/// explicit `_sharded` variants ignore the variable; tests pass shard counts
-/// as parameters so concurrent tests cannot race on process environment.
-pub const SHARDS_ENV: &str = "LIFTING_SHARDS";
-
-fn env_shards() -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 /// Runs a scenario to completion and returns its outcome.
 pub fn run_scenario(config: ScenarioConfig) -> RunOutcome {
     run_scenario_with_snapshots(config, &[])
-}
-
-/// Runs a scenario over `shards` shard-parallel node ranges. The outcome is
-/// **bit-identical** to [`run_scenario`] at any shard count (`shards <= 1`
-/// falls back to classic sequential dispatch); only wall-clock time differs.
-pub fn run_scenario_sharded(config: ScenarioConfig, shards: usize) -> RunOutcome {
-    run_scenario_with_snapshots_sharded(config, &[], shards)
 }
 
 /// Runs a scenario, additionally recording score snapshots at the requested
@@ -60,19 +37,8 @@ pub fn run_scenario_with_snapshots(
     config: ScenarioConfig,
     snapshot_times: &[SimDuration],
 ) -> RunOutcome {
-    run_scenario_with_snapshots_sharded(config, snapshot_times, env_shards())
-}
-
-/// The sharded variant of [`run_scenario_with_snapshots`]: same outcome,
-/// bit for bit, with node-local event waves fanned out over `shards` shards.
-pub fn run_scenario_with_snapshots_sharded(
-    config: ScenarioConfig,
-    snapshot_times: &[SimDuration],
-    shards: usize,
-) -> RunOutcome {
     let duration = config.duration;
     let mut engine = build_engine(config);
-    engine.world_mut().set_shard_count(shards);
     let mut snapshot_times: Vec<SimDuration> = snapshot_times
         .iter()
         .copied()
@@ -83,11 +49,11 @@ pub fn run_scenario_with_snapshots_sharded(
     let mut snapshots: Vec<ScoreSnapshot> = Vec::with_capacity(snapshot_times.len());
     for t in snapshot_times {
         let at = SimTime::ZERO + t;
-        engine.run_until_sharded(at);
+        engine.run_until(at);
         snapshots.push(engine.world().score_snapshot(at));
     }
     let end = SimTime::ZERO + duration;
-    engine.run_until_sharded(end);
+    engine.run_until(end);
     let lags = default_lag_grid();
     engine.world().run_outcome(end, snapshots, &lags)
 }
@@ -173,35 +139,6 @@ mod tests {
                 assert_eq!(ps.outcomes, ss.outcomes);
             }
             assert_eq!(p.finals.outcomes, s.finals.outcomes);
-        }
-    }
-
-    #[test]
-    fn sharded_execution_is_bit_identical_across_shard_counts() {
-        // Freeriders on: blames, timers and verification traffic all flow, so
-        // the wave executor's Phase B must reproduce every RNG draw exactly.
-        let mut config = ScenarioConfig::small_test(40, 11).with_planetlab_freeriders(0.25);
-        config.duration = SimDuration::from_secs(8);
-        let sequential = run_scenario(config.clone());
-        for shards in [2usize, 4, 8] {
-            let sharded = run_scenario_sharded(config.clone(), shards);
-            assert_eq!(
-                sequential.finals.outcomes, sharded.finals.outcomes,
-                "scores diverged at {shards} shards"
-            );
-            assert_eq!(
-                sequential.traffic.total_bytes_sent, sharded.traffic.total_bytes_sent,
-                "traffic diverged at {shards} shards"
-            );
-            assert_eq!(
-                sequential.traffic.total_messages_sent,
-                sharded.traffic.total_messages_sent
-            );
-            assert_eq!(
-                sequential.stream_health.fraction_clear,
-                sharded.stream_health.fraction_clear
-            );
-            assert_eq!(sequential.expelled_count, sharded.expelled_count);
         }
     }
 

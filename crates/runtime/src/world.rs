@@ -33,7 +33,6 @@ use crate::layers::{AuditCoordinator, AuditOutcome, Downcall, FeedbackAction, No
 use crate::message::{Event, Message, CHURN_EPOCH_ANY};
 use crate::metrics::{RecoveryReport, WaveKind, WaveRecovery};
 use crate::scenario::ScenarioConfig;
-use crate::wave::WaveExec;
 
 /// Live churn state: which nodes cycle on/off and the RNG stream feeding the
 /// session/offline duration draws as the run progresses.
@@ -78,9 +77,6 @@ pub struct SystemWorld {
     /// Dense hot columns (session epochs, freerider flags) — the
     /// struct-of-arrays fields every event gate reads (see [`crate::hot`]).
     pub(crate) hot: HotNodeState,
-    /// Sharded-execution state; `None` runs the classic sequential dispatch
-    /// (see [`crate::wave`] and [`SystemWorld::set_shard_count`]).
-    pub(crate) wave_exec: Option<WaveExec>,
     /// Live churn state (`None` for a static population).
     pub(crate) churn: Option<ChurnRuntime>,
     pub(crate) churn_departures: u64,
@@ -233,60 +229,7 @@ impl SystemWorld {
         self.config.lifting_enabled
     }
 
-    /// The number of shards the world executes waves over (1 = sequential).
-    pub fn shard_count(&self) -> usize {
-        self.wave_exec.as_ref().map_or(1, |e| e.map.shards())
-    }
-
-    /// Switches the world to shard-parallel wave execution over `shards`
-    /// contiguous node ranges (1 or 0 restores classic sequential dispatch).
-    /// Results are bit-identical at any shard count; only wall-clock time and
-    /// the per-shard observability counters change. Call before running the
-    /// engine via [`lifting_sim::Engine::run_until_sharded`].
-    pub fn set_shard_count(&mut self, shards: usize) {
-        let map = lifting_sim::ShardMap::new(self.config.nodes, shards);
-        self.wave_exec = (map.shards() > 1).then(|| WaveExec::new(map));
-    }
-
-    /// Cumulative wave-executor counters: `(waves, events in waves,
-    /// intra-shard staged entries, cross-shard staged entries)`. `None` when
-    /// running sequentially. Observability only — never part of a
-    /// [`crate::RunOutcome`], which must be shard-invariant.
-    pub fn wave_stats(&self) -> Option<(u64, u64, u64, u64)> {
-        self.wave_exec.as_ref().map(|e| {
-            let (intra, cross) = e.mailbox_totals();
-            (e.waves, e.wave_events, intra, cross)
-        })
-    }
-
-    /// Cumulative staged wave entries for one `(src, dst)` shard pair (see
-    /// [`lifting_sim::ShardMailboxes::pushed`]); 0 when running sequentially.
-    pub fn wave_mailbox_pushed(&self, src: usize, dst: usize) -> u64 {
-        self.wave_exec
-            .as_ref()
-            .map_or(0, |e| e.mailbox_pushed(src, dst))
-    }
-
-    /// The contiguous node-id range `[lo, hi)` owned by one shard; the whole
-    /// population as a single range when running sequentially.
-    pub fn shard_range(&self, shard: usize) -> (u32, u32) {
-        match &self.wave_exec {
-            Some(e) => {
-                let r = e.map.range(shard);
-                (r.start, r.end)
-            }
-            None => (0, self.config.nodes as u32),
-        }
-    }
-
-    /// Total messages handed to the network so far — a cheap divergence probe
-    /// for tools that compare a sharded run against a sequential one without
-    /// paying for a full [`crate::RunOutcome`].
-    pub fn traffic_messages_sent(&self) -> u64 {
-        self.network.stats().report().total_messages_sent
-    }
-
-    pub(crate) fn send(
+    fn send(
         &mut self,
         now: SimTime,
         from: NodeId,
@@ -350,13 +293,7 @@ impl SystemWorld {
         }
     }
 
-    pub(crate) fn route_blame(
-        &mut self,
-        from: NodeId,
-        blame: Blame,
-        now: SimTime,
-        ctx: &mut Context<Event>,
-    ) {
+    fn route_blame(&mut self, from: NodeId, blame: Blame, now: SimTime, ctx: &mut Context<Event>) {
         if !self.lifting_on() || blame.target == NodeId::new(0) {
             return; // the source is not scored
         }
@@ -956,28 +893,6 @@ impl World for SystemWorld {
             Event::Resubscribe { node, from, to } => self.handle_resubscribe(node, from, to),
             Event::Fault { wave, begin } => self.handle_fault(wave, begin),
         }
-    }
-}
-
-impl lifting_sim::ShardedWorld for SystemWorld {
-    fn shard_count(&self) -> usize {
-        self.shard_count()
-    }
-
-    /// Node-local events: handlers that mutate only the acting node's stack
-    /// (plus its private RNG), with all cross-node effects expressed as
-    /// downcalls. Everything else — source emissions, period ends, audits,
-    /// churn, faults — is a barrier and runs solo through `handle_event`.
-    fn local_node(&self, event: &Event) -> Option<NodeId> {
-        match event {
-            Event::GossipTick { node, .. } | Event::Timer { node, .. } => Some(*node),
-            Event::Deliver { to, .. } => Some(*to),
-            _ => None,
-        }
-    }
-
-    fn handle_wave(&mut self, now: SimTime, wave: &mut Vec<Event>, ctx: &mut Context<Event>) {
-        self.execute_wave(now, wave, ctx);
     }
 }
 

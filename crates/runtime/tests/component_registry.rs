@@ -1,6 +1,6 @@
 //! Integration coverage for the component registry plane.
 //!
-//! Three concerns live here:
+//! Two concerns live here:
 //!
 //! 1. **Error paths** — every mis-declared component in a scenario's
 //!    `components:` section must come back as a structured
@@ -10,17 +10,14 @@
 //! 2. **Workload scenarios do what their generators promise** — diurnal and
 //!    regional-failure plans actually take nodes offline and bring them
 //!    back; the zap plan actually resubscribes viewers between channels.
-//! 3. **Shard invariance** — the three `workload/*` scenarios are pinned at
-//!    1/2/4/8 shards explicitly (the registry-wide proptest samples scenario
-//!    indices, so a family this new deserves deterministic coverage too).
 
 use lifting_runtime::{
-    build_engine, resolve_components, run_scenario_sharded, workload_components, ComponentSpec,
-    RunOutcome, Scale, ScenarioRegistry,
+    build_engine, resolve_components, run_scenario, workload_components, ComponentSpec, Scale,
+    ScenarioRegistry,
 };
 use lifting_sim::{
     Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
-    ParamsSchema, SeedSplitter, SimDuration, SimTime,
+    ParamsSchema, SeedSplitter, SimTime,
 };
 
 // ---------------------------------------------------------------------------
@@ -223,7 +220,7 @@ fn diurnal_workload_cycles_nodes_offline_and_back() {
         config.churn.is_none(),
         "workload plans replace churn schedules"
     );
-    let outcome = run_scenario_sharded(config, 1);
+    let outcome = run_scenario(config);
     assert!(
         outcome.churn.departures > 0,
         "diurnal troughs must take nodes offline (got {} departures)",
@@ -240,7 +237,7 @@ fn diurnal_workload_cycles_nodes_offline_and_back() {
 #[test]
 fn regional_failure_workload_knocks_regions_offline() {
     let config = ScenarioRegistry::builtin().build("workload/regional-failure", Scale::Quick, 11);
-    let outcome = run_scenario_sharded(config, 1);
+    let outcome = run_scenario(config);
     assert!(
         outcome.churn.departures > 0,
         "outage waves must take whole regions down"
@@ -262,53 +259,4 @@ fn zap_workload_switches_viewers_between_channels() {
         engine.world().workload_switches() > 0,
         "zappers must actually change channels"
     );
-}
-
-// ---------------------------------------------------------------------------
-// 3. Shard invariance, pinned (not sampled) for the new family.
-// ---------------------------------------------------------------------------
-
-fn assert_bit_identical(a: &RunOutcome, b: &RunOutcome, scenario: &str, shards: usize) {
-    assert_eq!(
-        a.finals.outcomes, b.finals.outcomes,
-        "{scenario} @ {shards} shards: outcomes"
-    );
-    assert_eq!(
-        a.traffic.total_bytes_sent, b.traffic.total_bytes_sent,
-        "{scenario} @ {shards} shards: bytes"
-    );
-    assert_eq!(
-        a.traffic.total_messages_sent, b.traffic.total_messages_sent,
-        "{scenario} @ {shards} shards: messages"
-    );
-    assert_eq!(
-        a.stream_health.fraction_clear, b.stream_health.fraction_clear,
-        "{scenario} @ {shards} shards: stream health"
-    );
-    assert_eq!(
-        a.churn, b.churn,
-        "{scenario} @ {shards} shards: membership dynamics"
-    );
-    assert_eq!(
-        a.emitted_chunks, b.emitted_chunks,
-        "{scenario} @ {shards} shards: chunks"
-    );
-}
-
-#[test]
-fn workload_scenarios_are_shard_invariant() {
-    let registry = ScenarioRegistry::builtin();
-    for name in [
-        "workload/diurnal",
-        "workload/regional-failure",
-        "workload/zap",
-    ] {
-        let mut config = registry.build(name, Scale::Quick, 23);
-        config.duration = config.duration.min(SimDuration::from_secs(6));
-        let sequential = run_scenario_sharded(config.clone(), 1);
-        for shards in [2usize, 4, 8] {
-            let sharded = run_scenario_sharded(config.clone(), shards);
-            assert_bit_identical(&sharded, &sequential, name, shards);
-        }
-    }
 }

@@ -1,7 +1,6 @@
 //! The simulation engine: a run loop over a [`World`] and an [`EventQueue`].
 
 use crate::event::EventQueue;
-use crate::id::NodeId;
 use crate::time::{SimDuration, SimTime};
 
 /// The state being simulated.
@@ -15,48 +14,6 @@ pub trait World {
 
     /// Handles one event occurring at `now`.
     fn handle_event(&mut self, now: SimTime, event: Self::Event, ctx: &mut Context<Self::Event>);
-}
-
-/// A [`World`] whose node-local events can be executed shard-parallel.
-///
-/// The contract: an event is **node-local** when its handler decomposes into
-/// a first phase that mutates only the named node's private state (reading
-/// shared state but writing none of it), followed by a commit phase driving
-/// shared resources (network RNG, global books, the scheduler). The engine
-/// collects maximal runs of node-local events that share one timestamp — a
-/// **wave** — and hands them to [`handle_wave`](Self::handle_wave), which may
-/// run the first phases shard-parallel as long as the observable effects are
-/// *identical* to calling [`World::handle_event`] on each event in order.
-/// Events for which [`local_node`](Self::local_node) returns `None` are
-/// barriers: they run solo through the ordinary sequential path.
-///
-/// Same-timestamp waves are what make the parallel phase provably safe: any
-/// event a wave member schedules carries a later sequence number than every
-/// event already queued at that instant, so it sorts after the entire wave —
-/// nothing can be scheduled *between* two wave members. (A world whose
-/// cross-node effects all carry a minimum lookahead of one wheel slot could
-/// widen the window to the slot; the runtimes here keep the conservative
-/// single-timestamp window, which needs no lookahead assumption at all.)
-pub trait ShardedWorld: World {
-    /// Number of shards the world is configured to execute waves across.
-    /// `1` disables wave collection entirely (the engine falls back to the
-    /// plain sequential loop).
-    fn shard_count(&self) -> usize;
-
-    /// `Some(node)` if `event` is node-local to `node` in the sense above,
-    /// `None` for barrier events.
-    fn local_node(&self, event: &Self::Event) -> Option<NodeId>;
-
-    /// Executes one same-timestamp wave of node-local events, draining
-    /// `wave` (events are in their sequential pop order). Implementations
-    /// must leave the world and the scheduled events bit-identical to a
-    /// sequential `handle_event` loop over the same events.
-    fn handle_wave(
-        &mut self,
-        now: SimTime,
-        wave: &mut Vec<Self::Event>,
-        ctx: &mut Context<Self::Event>,
-    );
 }
 
 /// Scheduling facility handed to [`World::handle_event`].
@@ -199,76 +156,6 @@ impl<W: World> Engine<W> {
         report
     }
 
-    /// Sharded variant of [`run_until`](Self::run_until): collects maximal
-    /// same-timestamp runs of node-local events into waves and hands them to
-    /// [`ShardedWorld::handle_wave`]; barrier events and single-event waves
-    /// take the ordinary sequential path (a one-event wave would only pay the
-    /// fan-out overhead). Results are bit-identical to `run_until` at any
-    /// shard count — that is the [`ShardedWorld`] contract, pinned end to end
-    /// by the runtime's shard-invariance tests.
-    pub fn run_until_sharded(&mut self, deadline: SimTime) -> RunReport
-    where
-        W: ShardedWorld,
-    {
-        if self.world.shard_count() <= 1 {
-            return self.run_until(deadline);
-        }
-        let mut report = RunReport::default();
-        let mut wave: Vec<W::Event> = Vec::new();
-        loop {
-            let Some((time, event)) = self.queue.pop_due(deadline) else {
-                report.drained = self.queue.is_empty();
-                break;
-            };
-            self.clock = time;
-            let world = &self.world;
-            let second = world.local_node(&event).is_some().then(|| {
-                // Probe for a second node-local event at the same instant
-                // before paying any wave bookkeeping: most timestamps hold a
-                // single event, which then takes the plain sequential path.
-                self.queue
-                    .pop_due_if(time, |t, e| t == time && world.local_node(e).is_some())
-            });
-            let processed = if let Some(Some((_, e2))) = second {
-                wave.clear();
-                wave.push(event);
-                wave.push(e2);
-                // Extend the wave while the head is node-local at the same
-                // instant; whatever terminates the run (a barrier, a later
-                // timestamp, an empty queue) stays queued untouched. Every
-                // event already at `time` sorts before anything a wave member
-                // schedules, so the collection is exactly the prefix a
-                // sequential loop would process back to back.
-                while let Some((_, e)) = self
-                    .queue
-                    .pop_due_if(time, |t, e| t == time && world.local_node(e).is_some())
-                {
-                    wave.push(e);
-                }
-                let count = wave.len() as u64;
-                let mut ctx = Context::new(time, &mut self.scratch);
-                self.world.handle_wave(time, &mut wave, &mut ctx);
-                count
-            } else {
-                let mut ctx = Context::new(time, &mut self.scratch);
-                self.world.handle_event(time, event, &mut ctx);
-                1
-            };
-            // One batch push per wave: scheduled events are staged in the
-            // same relative order as per-event pushes, and sequence numbers
-            // depend only on push order, so the assignment is identical to
-            // the sequential loop's.
-            self.queue.push_batch(self.scratch.drain(..));
-            self.events_processed += processed;
-            report.events_processed += processed;
-        }
-        if self.clock < deadline {
-            self.clock = deadline;
-        }
-        report.stopped_at = self.clock;
-        report
-    }
-
     /// Runs until the queue is completely drained or `max_events` events have
     /// been processed (a safety valve against livelock in tests).
     pub fn run_to_completion(&mut self, max_events: u64) -> RunReport {
@@ -379,109 +266,6 @@ mod tests {
             eng.world().saw,
             vec![SimTime::from_millis(50), SimTime::from_millis(50)]
         );
-    }
-
-    #[derive(Debug, Clone, PartialEq)]
-    enum ShardEv {
-        /// Node-local: node bumps its own counter and reschedules itself.
-        Local(u32),
-        /// Barrier: sums all counters into the log.
-        Sum,
-    }
-
-    /// A toy sharded world: node-local events only touch `counters[node]`;
-    /// `handle_wave` applies them in order (batched), which must be
-    /// indistinguishable from per-event handling.
-    #[derive(Debug, Clone)]
-    struct ShardToy {
-        counters: Vec<u64>,
-        sums: Vec<u64>,
-        shards: usize,
-        waves_seen: u64,
-    }
-
-    impl ShardToy {
-        fn apply_local(&mut self, node: u32, now: SimTime, ctx: &mut Context<ShardEv>) {
-            self.counters[node as usize] += 1;
-            if now < SimTime::from_millis(50) {
-                ctx.schedule_after(SimDuration::from_millis(10), ShardEv::Local(node));
-            }
-        }
-    }
-
-    impl World for ShardToy {
-        type Event = ShardEv;
-        fn handle_event(&mut self, now: SimTime, ev: ShardEv, ctx: &mut Context<ShardEv>) {
-            match ev {
-                ShardEv::Local(node) => self.apply_local(node, now, ctx),
-                ShardEv::Sum => self.sums.push(self.counters.iter().sum()),
-            }
-        }
-    }
-
-    impl ShardedWorld for ShardToy {
-        fn shard_count(&self) -> usize {
-            self.shards
-        }
-        fn local_node(&self, ev: &ShardEv) -> Option<NodeId> {
-            match ev {
-                ShardEv::Local(node) => Some(NodeId::new(*node)),
-                ShardEv::Sum => None,
-            }
-        }
-        fn handle_wave(
-            &mut self,
-            now: SimTime,
-            wave: &mut Vec<ShardEv>,
-            ctx: &mut Context<ShardEv>,
-        ) {
-            self.waves_seen += 1;
-            for ev in wave.drain(..) {
-                match ev {
-                    ShardEv::Local(node) => self.apply_local(node, now, ctx),
-                    ShardEv::Sum => unreachable!("barriers never enter a wave"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_run_matches_sequential_and_batches_waves() {
-        let build = |shards: usize| {
-            let mut eng = Engine::new(ShardToy {
-                counters: vec![0; 8],
-                sums: Vec::new(),
-                shards,
-                waves_seen: 0,
-            });
-            for node in 0..8 {
-                eng.schedule(SimTime::ZERO, ShardEv::Local(node));
-            }
-            // A barrier right in the middle of the same-time runs.
-            eng.schedule(SimTime::from_millis(20), ShardEv::Sum);
-            eng.schedule(SimTime::from_millis(60), ShardEv::Sum);
-            eng
-        };
-        let mut sequential = build(1);
-        let seq_report = sequential.run_until(SimTime::from_millis(100));
-        let mut sharded = build(4);
-        let shard_report = sharded.run_until_sharded(SimTime::from_millis(100));
-        assert_eq!(sharded.world().counters, sequential.world().counters);
-        assert_eq!(sharded.world().sums, sequential.world().sums);
-        assert_eq!(
-            shard_report.events_processed, seq_report.events_processed,
-            "waves count every member event"
-        );
-        assert_eq!(sharded.now(), sequential.now());
-        assert!(
-            sharded.world().waves_seen > 0,
-            "multi-event same-time runs must be batched into waves"
-        );
-        // shard_count == 1 falls back to the plain sequential loop.
-        let mut fallback = build(1);
-        fallback.run_until_sharded(SimTime::from_millis(100));
-        assert_eq!(fallback.world().waves_seen, 0);
-        assert_eq!(fallback.world().counters, sequential.world().counters);
     }
 
     #[test]

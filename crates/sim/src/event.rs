@@ -328,34 +328,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest event if it is due at or before
-    /// `deadline` **and** `take` approves it; a rejected event stays at the
-    /// head of the queue, untouched.
-    ///
-    /// This is the sharded engine's wave-collection primitive: it gathers a
-    /// maximal run of same-timestamp, same-kind events without ever popping
-    /// the event that terminates the run. Like [`pop_due`](Self::pop_due) it
-    /// may advance the wheel cursor to materialize the head — that is
-    /// internal bookkeeping `pop_due` performs identically and never changes
-    /// pop order.
-    pub fn pop_due_if(
-        &mut self,
-        deadline: SimTime,
-        take: impl FnOnce(SimTime, &E) -> bool,
-    ) -> Option<(SimTime, E)> {
-        if self.front.is_empty() {
-            self.advance();
-        }
-        match self.front.last() {
-            Some(s) if s.time <= deadline && take(s.time, &s.event) => {
-                let s = self.front.pop().expect("peeked event must exist");
-                self.len -= 1;
-                Some((s.time, s.event))
-            }
-            _ => None,
-        }
-    }
-
     /// The delivery time of the earliest pending event, if any.
     ///
     /// Cold path (`&self` cannot advance the cursor): when the front heap is
@@ -471,27 +443,6 @@ mod tests {
             Some((SimTime::from_millis(30), "b"))
         );
         assert_eq!(q.pop_due(SimTime::MAX), None);
-    }
-
-    #[test]
-    fn pop_due_if_leaves_rejected_events_queued() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(3);
-        q.push(t, "wave");
-        q.push(t, "barrier");
-        q.push(SimTime::from_millis(9), "later");
-        // Accept only "wave"-kind events: the barrier terminates the run but
-        // must stay at the head for the plain pop that follows.
-        assert_eq!(
-            q.pop_due_if(SimTime::MAX, |_, e| *e == "wave"),
-            Some((t, "wave"))
-        );
-        assert_eq!(q.pop_due_if(SimTime::MAX, |_, e| *e == "wave"), None);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((t, "barrier")));
-        // The deadline is checked before the predicate runs.
-        assert_eq!(q.pop_due_if(SimTime::from_millis(5), |_, _| true), None);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(9), "later")));
     }
 
     #[test]

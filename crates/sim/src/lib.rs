@@ -48,7 +48,6 @@ pub mod event;
 pub mod id;
 pub mod pool;
 pub mod rng;
-pub mod shard;
 pub mod time;
 
 pub use collections::InlineVec;
@@ -56,10 +55,9 @@ pub use component::{
     Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
     ParamsSchema, SeedSplitter,
 };
-pub use engine::{Context, Engine, RunReport, ShardedWorld, World};
+pub use engine::{Context, Engine, RunReport, World};
 pub use event::EventQueue;
 pub use id::{NodeId, StreamId};
-pub use pool::{run_indexed, run_owned, worker_count};
+pub use pool::{run_indexed, worker_count};
 pub use rng::{derive_rng, split_seed, SeedSequence};
-pub use shard::{MailKey, ShardMailboxes, ShardMap};
 pub use time::{SimDuration, SimTime};

@@ -35,8 +35,7 @@ thread_local! {
 /// independent jobs.
 pub fn worker_count(jobs: usize) -> usize {
     // `available_parallelism` re-reads the cgroup quota files (several
-    // syscalls) on every call, and the sharded wave executor consults the
-    // pool once per wave — cache the process-constant answer. The
+    // syscalls) on every call — cache the process-constant answer. The
     // `LIFTING_WORKERS` override stays a live read: tests flip it
     // mid-process to compare worker counts.
     static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
@@ -123,38 +122,6 @@ where
     results
 }
 
-/// Runs `f(i, job_i)` for every owned job across the same worker pool and
-/// returns the results in index order.
-///
-/// This is the owned-job variant of [`run_indexed`] for work that cannot be
-/// captured by a `Fn(usize)` closure — most importantly fan-outs that hand
-/// each worker a disjoint `&mut` slice of shared state (the sharded world
-/// passes per-shard `&mut [NodeStack]` segments through here). Each job is
-/// parked behind a mutex and taken exactly once by whichever worker claims
-/// its index; the lock is uncontended by construction, so the overhead is one
-/// atomic per job.
-///
-/// Determinism is inherited from [`run_indexed`]: results come back in index
-/// order and each job runs exactly once, so the output is bit-identical to
-/// the sequential loop `jobs.into_iter().enumerate().map(|(i, j)| f(i, j))`.
-pub fn run_owned<J, T, F>(jobs: Vec<J>, f: F) -> Vec<T>
-where
-    J: Send,
-    T: Send,
-    F: Fn(usize, J) -> T + Sync,
-{
-    use std::sync::Mutex;
-    let slots: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    run_indexed(slots.len(), |i| {
-        let job = slots[i]
-            .lock()
-            .expect("job slot poisoned")
-            .take()
-            .expect("each job index is claimed exactly once");
-        f(i, job)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,19 +166,6 @@ mod tests {
             inner.iter().sum::<usize>()
         });
         let expected: Vec<usize> = (0..4).map(|i| (0..8).map(|j| i * 10 + j).sum()).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn owned_jobs_run_once_each_in_index_order() {
-        // Jobs carry owned, mutable state (here a Vec each); every job must
-        // be executed exactly once and results must come back in input order.
-        let jobs: Vec<Vec<usize>> = (0..64).map(|i| vec![i, i + 1]).collect();
-        let out = run_owned(jobs, |i, mut job| {
-            job.push(i);
-            job.iter().sum::<usize>()
-        });
-        let expected: Vec<usize> = (0..64).map(|i| i + (i + 1) + i).collect();
         assert_eq!(out, expected);
     }
 
