@@ -53,20 +53,37 @@ LIFTING_EXAMPLE_QUICK=1 ./target/release/examples/quickstart > /dev/null
 LIFTING_EXAMPLE_QUICK=1 ./target/release/examples/streaming_freeriders > /dev/null
 echo "examples smoke OK"
 
-echo "==> registry validation (components + scenario manifest)"
-# Every registered component of every kind (transport, loss, capability,
-# workload, adversary, exporter) must instantiate with default parameters,
-# and the scenario registry must match the committed manifest exactly — a
+echo "==> scenario manifest"
+# The scenario registry must match the committed manifest exactly — a
 # scenario added without updating the manifest (or silently dropped by a
 # refactor) fails here before any experiment runs.
-./target/release/run_scenario --validate-registry
 ./target/release/run_scenario --list-names > "$tmp/scenario_names.txt"
 diff -u tests/scenario_manifest.txt "$tmp/scenario_names.txt" || {
     echo "scenario registry diverged from tests/scenario_manifest.txt;"
     echo "regenerate with: ./target/release/run_scenario --list-names > tests/scenario_manifest.txt"
     exit 1
 }
-echo "registry validation OK"
+echo "scenario manifest OK"
+
+echo "==> benchmark crate (perfbench) builds and replays its reference digests"
+# perfbench/ is its own package outside the workspace, so the workspace
+# build and tests never compile it: an API change can break the benchmark
+# unnoticed. Build it against the current crates and replay seed 1 of each
+# Paper-scale workload against the committed digest table.
+perfbench=(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --)
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in planetlab-300 gossip-only churn-audit; do
+    expected="$(awk -F'\t' -v w="$workload" '$1 == w && $2 == "1"' perfbench/digests.tsv)"
+    actual="$("${perfbench[@]}" --record "$workload" 1)"
+    if [ "$actual" != "$expected" ]; then
+        echo "perfbench digest mismatch for $workload seed 1:"
+        echo "  expected: $expected"
+        echo "  actual:   $actual"
+        exit 1
+    fi
+    echo "  $workload seed 1: $actual"
+done
+echo "perfbench digests OK"
 
 echo "==> run_all_experiments --quick (parallel)"
 ./target/release/run_all_experiments --quick

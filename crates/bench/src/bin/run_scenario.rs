@@ -12,11 +12,9 @@
 //!
 //! Registry introspection:
 //! * `--list` prints every scenario grouped by family, with its description
-//!   and resolved component composition;
+//!   and composition (transport, loss, capability, workload, adversary);
 //! * `--list-names` prints the bare names (the CI manifest gate diffs this
-//!   against `tests/scenario_manifest.txt`);
-//! * `--validate-registry` instantiates every registered component of every
-//!   kind with default parameters and exits non-zero on any failure.
+//!   against `tests/scenario_manifest.txt`).
 
 use lifting_bench::cli::Spec;
 use lifting_bench::experiments::{Scale, PAPER_ETA};
@@ -27,8 +25,8 @@ use serde_json::{json, to_value};
 
 const SPEC: Spec = Spec {
     usage: "usage: run_scenario <scenario-name> [--quick] [--seed N] [--exporter NAME]\n       \
-            run_scenario --list | --list-names | --validate-registry",
-    switches: &["--quick", "--list", "--list-names", "--validate-registry"],
+            run_scenario --list | --list-names",
+    switches: &["--quick", "--list", "--list-names"],
     options: &["--seed", "--exporter"],
     max_positionals: 1,
 };
@@ -42,11 +40,6 @@ fn main() {
     }
     if args.has("--list-names") {
         listing::print_registry_names();
-        return;
-    }
-    if args.has("--validate-registry") {
-        let validated = listing::validate_component_registries();
-        println!("validated {validated} components across 6 registries");
         return;
     }
     let Some(name) = args.positionals().first() else {

@@ -825,8 +825,8 @@ pub fn resilience_sweep(scale: Scale, seed: u64) -> Vec<ResilienceScenarioResult
 }
 
 // ---------------------------------------------------------------------------
-// Workload sweep: trace-driven membership workloads expanded from registered
-// generator components (diurnal cycles, regional failures, channel zapping).
+// Workload sweep: trace-driven membership workloads expanded from typed
+// workload models (diurnal cycles, regional failures, channel zapping).
 // ---------------------------------------------------------------------------
 
 /// The registered `workload/*` scenarios the sweep runs, in registry order.

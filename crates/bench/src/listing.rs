@@ -1,16 +1,11 @@
 //! The `--list` face of the scenario registry (shared by `run_scenario` and
 //! `run_all_experiments`): scenarios grouped by family with each one's
-//! component composition, plus the registry-validation pass the CI gate runs.
+//! composition, plus the bare-name manifest the CI gate diffs.
 
-use lifting_net::{capability_components, loss_components, transport_components};
-use lifting_runtime::{
-    adversary_components, component_summary, exporter_components, workload_components, Scale,
-    ScenarioRegistry,
-};
-use lifting_sim::{ParamMap, SeedSplitter};
+use lifting_runtime::{component_summary, Scale, ScenarioRegistry};
 
 /// Prints every registered scenario grouped by family, each with its
-/// description and the component composition the registry resolves it to
+/// description and its composition rendered from the typed configuration
 /// (`transport=paper loss=bernoulli{pl=0.04} ...`).
 pub fn print_registry_listing() {
     let registry = ScenarioRegistry::builtin();
@@ -36,90 +31,5 @@ pub fn print_registry_listing() {
 pub fn print_registry_names() {
     for name in ScenarioRegistry::builtin().names() {
         println!("{name}");
-    }
-}
-
-/// Instantiates every registered component of every kind with default
-/// parameters, panicking (with the component's own error message) on any
-/// failure — the CI registry-validation gate. Returns the number of
-/// components validated.
-pub fn validate_component_registries() -> usize {
-    let mut validated = 0;
-    let mut check = |kind: &str, names: Vec<&'static str>, build: &mut dyn FnMut(&str)| {
-        for name in names {
-            build(name);
-            validated += 1;
-            eprintln!("  {kind}/{name} ok");
-        }
-    };
-    let defaults = ParamMap::new();
-    check(
-        "transport",
-        transport_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            transport_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("transport/{name} failed to build: {e}"));
-        },
-    );
-    check("loss", loss_components().names().collect(), &mut |name| {
-        let mut seeds = SeedSplitter::new(0);
-        loss_components()
-            .build(name, &defaults, &mut seeds)
-            .unwrap_or_else(|e| panic!("loss/{name} failed to build: {e}"));
-    });
-    check(
-        "capability",
-        capability_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            capability_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("capability/{name} failed to build: {e}"));
-        },
-    );
-    check(
-        "workload",
-        workload_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            workload_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("workload/{name} failed to build: {e}"));
-        },
-    );
-    check(
-        "adversary",
-        adversary_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            adversary_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("adversary/{name} failed to build: {e}"));
-        },
-    );
-    check(
-        "exporter",
-        exporter_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            exporter_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("exporter/{name} failed to build: {e}"));
-        },
-    );
-    validated
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_component_of_every_kind_builds_with_defaults() {
-        // 3 transports + 3 loss models + 3 capability assigners + 3 workload
-        // generators + 7 adversaries + 3 exporters.
-        assert_eq!(validate_component_registries(), 22);
     }
 }

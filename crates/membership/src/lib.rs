@@ -14,7 +14,7 @@
 //! * deterministic **churn schedules** ([`ChurnSchedule`]): per-node
 //!   session/offline cycling plus catastrophic-failure and flash-crowd waves,
 //!   expanded into per-node plans by [`ChurnPlan`], and
-//! * trace-driven **workload generators** ([`WorkloadGenerator`]): diurnal
+//! * trace-driven **workload models** ([`WorkloadModel`]): diurnal
 //!   audience cycles, correlated regional-failure waves and zap-style channel
 //!   switching, expanded into pre-drawn [`WorkloadPlan`]s the same way.
 
@@ -30,8 +30,8 @@ pub use churn::{ChurnPlan, ChurnSchedule, ChurnWave};
 pub use directory::Directory;
 pub use selector::{PartnerSelector, SelectionPolicy};
 pub use workload::{
-    DiurnalCycle, RegionalFailureWaves, WorkloadAction, WorkloadEvent, WorkloadGenerator,
-    WorkloadPlan, ZapSwitching,
+    DiurnalCycle, RegionalFailureWaves, WorkloadAction, WorkloadEvent, WorkloadModel, WorkloadPlan,
+    ZapSwitching,
 };
 
 pub use lifting_sim::NodeId;

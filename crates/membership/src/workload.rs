@@ -4,14 +4,14 @@
 //! [`crate::ChurnSchedule`] models memoryless session/offline cycling; real
 //! live-streaming audiences have *structure*: viewers follow daily rhythms,
 //! whole regions fail together (a power cut, an ISP outage), and multi-channel
-//! audiences zap between streams. A [`WorkloadGenerator`] expands such a
+//! audiences zap between streams. A [`WorkloadModel`] expands such a
 //! shape into a [`WorkloadPlan`] — a pre-drawn, time-sorted list of membership
 //! transitions and channel switches — from a dedicated seeded RNG stream,
 //! exactly like [`crate::ChurnPlan`] pre-draws its membership decisions, so
 //! workload scenarios stay bit-for-bit deterministic and
 //! parallel == sequential like every other scenario.
 //!
-//! Three generators ship with the reproduction:
+//! Three models ship with the reproduction:
 //!
 //! * [`DiurnalCycle`] — each participating viewer goes offline for a window
 //!   of every cycle, at a per-node phase (the "evening audience" shape).
@@ -24,6 +24,7 @@
 
 use lifting_sim::{NodeId, SimDuration, StreamId};
 use rand::{Rng, RngCore};
+use serde::{Deserialize, Serialize};
 
 /// One pre-drawn workload transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,26 +96,89 @@ impl WorkloadPlan {
     }
 }
 
-/// A deterministic audience-dynamics generator.
+/// A deterministic audience-dynamics model: which shape of membership and
+/// channel dynamics a scenario replays.
 ///
-/// `expand` must draw from `rng` in one fixed order (iterate nodes
-/// ascending, draw per-node decisions unconditionally where feasible — the
-/// same discipline [`crate::ChurnPlan::generate`] follows) so the plan is a
-/// pure function of the seed.
-pub trait WorkloadGenerator: Send + Sync {
-    /// The generator's registered name.
-    fn name(&self) -> &'static str;
+/// `expand` draws from its RNG in one fixed order (iterate nodes ascending,
+/// draw per-node decisions unconditionally where feasible — the same
+/// discipline [`crate::ChurnPlan::generate`] follows) so the plan is a pure
+/// function of the seed.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum WorkloadModel {
+    /// Diurnal audience cycles.
+    Diurnal(DiurnalCycle),
+    /// Correlated regional-failure waves.
+    RegionalFailure(RegionalFailureWaves),
+    /// Zap-style channel switching (needs at least two streams).
+    Zap(ZapSwitching),
+}
+
+impl WorkloadModel {
+    /// The model's short name: `diurnal`, `regional-failure` or `zap`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            WorkloadModel::Diurnal(_) => "diurnal",
+            WorkloadModel::RegionalFailure(_) => "regional-failure",
+            WorkloadModel::Zap(_) => "zap",
+        }
+    }
 
     /// Expands the workload over `nodes` identifiers and `streams` channels
-    /// for a run of `duration`. Node 0 — the broadcast source — must never
-    /// be selected for anything.
-    fn expand(
+    /// for a run of `duration`. Node 0 — the broadcast source — is never
+    /// selected for anything.
+    pub fn expand(
         &self,
         nodes: usize,
         streams: usize,
         duration: SimDuration,
         rng: &mut dyn RngCore,
-    ) -> WorkloadPlan;
+    ) -> WorkloadPlan {
+        match self {
+            WorkloadModel::Diurnal(m) => m.expand(nodes, duration, rng),
+            WorkloadModel::RegionalFailure(m) => m.expand(nodes, duration, rng),
+            WorkloadModel::Zap(m) => m.expand(nodes, streams, duration, rng),
+        }
+    }
+
+    /// Validates the model's parameters for a run over `streams` channels —
+    /// the one place their ranges are declared.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if a fraction is outside `[0, 1]`, a
+    /// duration or count that must be positive is zero, or a zap workload
+    /// has fewer than two streams to switch between.
+    pub fn validate(&self, streams: usize) {
+        let fraction = |name: &str, x: f64| {
+            assert!(
+                (0.0..=1.0).contains(&x),
+                "workload {name} = {x} not in [0,1]"
+            );
+        };
+        match self {
+            WorkloadModel::Diurnal(m) => {
+                fraction("participation", m.participation);
+                fraction("offline_fraction", m.offline_fraction);
+                assert!(!m.cycle.is_zero(), "workload cycle must be positive");
+            }
+            WorkloadModel::RegionalFailure(m) => {
+                assert!(m.regions >= 1, "workload regions must be at least 1");
+                assert!(m.waves >= 1, "workload waves must be at least 1");
+                assert!(!m.outage.is_zero(), "workload outage must be positive");
+            }
+            WorkloadModel::Zap(m) => {
+                fraction("zappers", m.zappers);
+                assert!(
+                    !m.mean_dwell.is_zero(),
+                    "workload mean_dwell must be positive"
+                );
+                assert!(
+                    streams >= 2,
+                    "a zap workload needs at least two streams to switch between"
+                );
+            }
+        }
+    }
 }
 
 /// Exponentially distributed duration with the given mean, floored at 10 ms
@@ -129,7 +193,7 @@ fn exponential(mean: SimDuration, rng: &mut dyn RngCore) -> SimDuration {
 /// `offline_fraction` window of every `cycle`, at a per-node phase, after a
 /// warmup. Models the daily rhythm of a live audience compressed to
 /// simulation scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DiurnalCycle {
     /// Fraction of the non-source population that follows the cycle.
     pub participation: f64,
@@ -141,15 +205,11 @@ pub struct DiurnalCycle {
     pub warmup: SimDuration,
 }
 
-impl WorkloadGenerator for DiurnalCycle {
-    fn name(&self) -> &'static str {
-        "diurnal"
-    }
-
-    fn expand(
+impl DiurnalCycle {
+    /// Expands the cycle over `nodes` identifiers for a run of `duration`.
+    pub fn expand(
         &self,
         nodes: usize,
-        _streams: usize,
         duration: SimDuration,
         rng: &mut dyn RngCore,
     ) -> WorkloadPlan {
@@ -189,7 +249,7 @@ impl WorkloadGenerator for DiurnalCycle {
 /// `regions` contiguous identifier blocks; each wave picks one region and an
 /// onset, takes every member down together, and brings the whole region back
 /// after `outage`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RegionalFailureWaves {
     /// Number of contiguous regions the population is split into (≥ 1).
     pub regions: usize,
@@ -207,17 +267,11 @@ impl RegionalFailureWaves {
         let population = nodes.saturating_sub(1).max(1);
         ((index - 1) * self.regions / population).min(self.regions - 1)
     }
-}
 
-impl WorkloadGenerator for RegionalFailureWaves {
-    fn name(&self) -> &'static str {
-        "regional-failure"
-    }
-
-    fn expand(
+    /// Expands the waves over `nodes` identifiers for a run of `duration`.
+    pub fn expand(
         &self,
         nodes: usize,
-        _streams: usize,
         duration: SimDuration,
         rng: &mut dyn RngCore,
     ) -> WorkloadPlan {
@@ -256,7 +310,7 @@ impl WorkloadGenerator for RegionalFailureWaves {
 /// initially watches exactly one channel (uniformly drawn); a `zappers`
 /// fraction of them switch to a different channel after exponentially
 /// distributed dwell times.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ZapSwitching {
     /// Fraction of the non-source population that zaps.
     pub zappers: f64,
@@ -266,12 +320,11 @@ pub struct ZapSwitching {
     pub warmup: SimDuration,
 }
 
-impl WorkloadGenerator for ZapSwitching {
-    fn name(&self) -> &'static str {
-        "zap"
-    }
-
-    fn expand(
+impl ZapSwitching {
+    /// Expands the zapping walk over `nodes` identifiers and `streams`
+    /// channels for a run of `duration`. Fewer than two streams leave nothing
+    /// to zap between and yield an empty plan.
+    pub fn expand(
         &self,
         nodes: usize,
         streams: usize,
@@ -331,8 +384,8 @@ mod tests {
             offline_fraction: 0.25,
             warmup: SimDuration::from_secs(2),
         };
-        let a = gen.expand(100, 1, DURATION, &mut derive_rng(5, 10));
-        let b = gen.expand(100, 1, DURATION, &mut derive_rng(5, 10));
+        let a = gen.expand(100, DURATION, &mut derive_rng(5, 10));
+        let b = gen.expand(100, DURATION, &mut derive_rng(5, 10));
         assert_eq!(a, b);
         assert!(!a.events.is_empty());
         assert!(a.events.iter().all(|e| e.node != NodeId::new(0)));
@@ -348,7 +401,7 @@ mod tests {
             offline_fraction: 0.3,
             warmup: SimDuration::ZERO,
         };
-        let plan = gen.expand(60, 1, DURATION, &mut derive_rng(1, 10));
+        let plan = gen.expand(60, DURATION, &mut derive_rng(1, 10));
         for pair in plan.events.windows(2) {
             assert!(pair[0].at <= pair[1].at);
         }
@@ -362,8 +415,8 @@ mod tests {
             outage: SimDuration::from_secs(4),
             warmup: SimDuration::from_secs(3),
         };
-        let plan = gen.expand(81, 1, DURATION, &mut derive_rng(7, 10));
-        assert_eq!(plan, gen.expand(81, 1, DURATION, &mut derive_rng(7, 10)));
+        let plan = gen.expand(81, DURATION, &mut derive_rng(7, 10));
+        assert_eq!(plan, gen.expand(81, DURATION, &mut derive_rng(7, 10)));
         // Two waves over 20 members per region: 40 departures, 40 rejoins.
         assert_eq!(plan.departure_count(), 40);
         assert_eq!(plan.events.len(), 80);

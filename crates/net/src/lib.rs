@@ -13,7 +13,8 @@
 //!   PlanetLab-like heterogeneous model.
 //! * Each node has an uplink capacity; outgoing messages are serialized on the
 //!   uplink so that overloaded or poor nodes fall behind — the phenomenon the
-//!   paper identifies as the main source of false positives.
+//!   paper identifies as the main source of false positives. A
+//!   [`CapabilityModel`] spreads uplink classes over the population.
 //! * All traffic is accounted per [`TrafficCategory`], which is what Table 5
 //!   (practical overhead) is computed from.
 //! * Network faults can be injected deterministically: bursty
@@ -39,9 +40,7 @@ pub use fault::{FaultPlan, FaultSchedule, FaultWave};
 pub use latency::LatencyModel;
 pub use loss::{BurstState, LossModel};
 pub use network::{DeliveryOutcome, LinkFaults, Network, NetworkConfig};
-pub use provider::{
-    capability_components, loss_components, transport_components, CapabilityClassAssigner,
-};
+pub use provider::CapabilityModel;
 pub use traffic::{TrafficCategory, TrafficReport, TrafficStats};
 pub use transport::{Transport, TransportPolicy};
 

@@ -69,11 +69,9 @@ impl LossModel {
     ///
     /// Panics if `pl` is not within `[0, 1]`.
     pub fn bernoulli(pl: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&pl),
-            "loss probability {pl} not in [0,1]"
-        );
-        LossModel::Bernoulli { pl }
+        let model = LossModel::Bernoulli { pl };
+        model.validate();
+        model
     }
 
     /// Creates a Gilbert–Elliott bursty loss model.
@@ -83,23 +81,45 @@ impl LossModel {
     /// Panics if any parameter is outside `[0, 1]` or both transition
     /// probabilities are zero (the chain would never mix).
     pub fn gilbert_elliott(p_gb: f64, p_bg: f64, loss_good: f64, loss_bad: f64) -> Self {
-        for (name, p) in [
-            ("p_gb", p_gb),
-            ("p_bg", p_bg),
-            ("loss_good", loss_good),
-            ("loss_bad", loss_bad),
-        ] {
-            assert!((0.0..=1.0).contains(&p), "{name} = {p} not in [0,1]");
-        }
-        assert!(
-            p_gb + p_bg > 0.0,
-            "degenerate Gilbert-Elliott chain: both transition probabilities are zero"
-        );
-        LossModel::GilbertElliott {
+        let model = LossModel::GilbertElliott {
             p_gb,
             p_bg,
             loss_good,
             loss_bad,
+        };
+        model.validate();
+        model
+    }
+
+    /// Validates the model's parameters — the one place their ranges are
+    /// declared.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if a probability is outside `[0, 1]` or a
+    /// Gilbert–Elliott chain has both transition probabilities at zero.
+    pub fn validate(&self) {
+        let probability = |name: &str, p: f64| {
+            assert!((0.0..=1.0).contains(&p), "loss {name} = {p} not in [0,1]");
+        };
+        match *self {
+            LossModel::None => {}
+            LossModel::Bernoulli { pl } => probability("pl", pl),
+            LossModel::GilbertElliott {
+                p_gb,
+                p_bg,
+                loss_good,
+                loss_bad,
+            } => {
+                probability("p_gb", p_gb);
+                probability("p_bg", p_bg);
+                probability("loss_good", loss_good);
+                probability("loss_bad", loss_bad);
+                assert!(
+                    p_gb + p_bg > 0.0,
+                    "degenerate Gilbert-Elliott chain: both transition probabilities are zero"
+                );
+            }
         }
     }
 

@@ -1,382 +1,55 @@
-//! Registered network components: transport policies, loss models and
-//! per-node capability *classes*.
+//! Per-node capability models: how a scenario spreads access-link quality
+//! (uplink rate, access loss, latency class) over its population.
 //!
-//! Scenario construction used to hard-code the network axis: a
-//! [`TransportPolicy`] picked by constructor, a [`LossModel`] assembled
-//! inline, and one "poor fraction" capability loop in the runtime's world
-//! builder. This module turns each axis into named
-//! [`lifting_sim::Component`]s behind [`lifting_sim::ComponentRegistry`]s, so
-//! scenarios compose `transport:paper + loss:bernoulli + capability:tiered`
-//! declaratively and new classes slot in without touching the builder.
-//!
-//! The capability axis is *per node*, not per category: a
-//! [`CapabilityClassAssigner`] maps every node to a [`NodeCapability`]
-//! (uplink rate, access-link loss, latency class) from one shared RNG
-//! stream. The `poor-fraction` assigner replicates, draw for draw, the
-//! historical builder loop — the bit-compatibility anchor for every
-//! pre-registry scenario.
+//! A [`CapabilityModel`] maps every node to a [`NodeCapability`] from one
+//! shared RNG stream. The `PoorFraction` model replicates, draw for draw,
+//! the historical builder loop — the bit-compatibility anchor for every
+//! scenario that predates the tiered model.
 
-use std::sync::OnceLock;
-
-use lifting_sim::{
-    Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
-    ParamsSchema, SeedSplitter,
-};
 use rand::rngs::SmallRng;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 use crate::bandwidth::NodeCapability;
-use crate::loss::LossModel;
-use crate::transport::TransportPolicy;
 
-/// Assigns every node its [`NodeCapability`] — the per-node heterogeneity
-/// provider.
+/// Assigns every node its [`NodeCapability`] — the per-node heterogeneity of
+/// a scenario.
 ///
-/// The builder walks nodes in ascending order and calls `assign` once per
-/// node with the *same* RNG; implementations must keep their draw order a
-/// pure function of `(index, is_freerider)` so the assignment is
-/// deterministic and insertion-order independent.
-pub trait CapabilityClassAssigner: Send + Sync {
-    /// The capability of node `index`. `default` is the scenario's baseline
-    /// attachment (derived from its `default_upload_bps`); node 0 — the
-    /// broadcast source — must always get `default`.
-    fn assign(
-        &self,
-        index: usize,
-        is_freerider: bool,
-        default: NodeCapability,
-        rng: &mut SmallRng,
-    ) -> NodeCapability;
+/// The builder walks nodes in ascending order and calls
+/// [`CapabilityModel::assign`] once per node with the *same* RNG; every
+/// model keeps its draw order a pure function of `(index, is_freerider)` so
+/// the assignment is deterministic and insertion-order independent.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum CapabilityModel {
+    /// The historical heterogeneity model: a `fraction` of the *honest*
+    /// population is poorly connected (the paper's main false-positive
+    /// source). The source never draws, freeriders never draw (the
+    /// short-circuit is part of the RNG contract), and a zero fraction
+    /// consumes nothing — so `fraction = 0` is the uniform model.
+    PoorFraction {
+        /// Fraction of honest nodes with a poor attachment, in `[0, 1]`.
+        fraction: f64,
+        /// Uplink of a poor node, bits per second (≥ 1).
+        poor_upload_bps: u64,
+        /// Extra access-link loss of a poor node, in `[0, 1]`.
+        poor_extra_loss: f64,
+    },
+    /// Heterogeneous access-technology tiers: every non-source node draws one
+    /// of four classes — fiber, cable, DSL and mobile (the remainder) — with
+    /// per-class uplink rate, access loss and latency scale. The per-node
+    /// draw happens unconditionally (freeriders included) so the class
+    /// stream is a pure function of the node order.
+    Tiered {
+        /// Fraction of fiber nodes (50 Mbps up, 0.8x latency).
+        fiber: f64,
+        /// Fraction of cable nodes (10 Mbps up).
+        cable: f64,
+        /// Fraction of DSL nodes (2 Mbps up, 1 % access loss, 1.3x latency).
+        dsl: f64,
+    },
 }
 
-fn float_param(params: &ParamMap, key: &str) -> f64 {
-    match params.get(key) {
-        Some(ParamValue::Float(x)) => *x,
-        Some(ParamValue::Int(x)) => *x as f64,
-        _ => unreachable!("schema-validated float param `{key}`"),
-    }
-}
-
-fn int_param(params: &ParamMap, key: &str) -> i64 {
-    match params.get(key) {
-        Some(ParamValue::Int(x)) => *x,
-        _ => unreachable!("schema-validated int param `{key}`"),
-    }
-}
-
-fn fraction_param(component: &str, params: &ParamMap, key: &str) -> Result<f64, ComponentError> {
-    let x = float_param(params, key);
-    if !(0.0..=1.0).contains(&x) {
-        return Err(ComponentError::InvalidParam {
-            component: component.to_string(),
-            key: key.to_string(),
-            reason: format!("{x} is not in [0, 1]"),
-        });
-    }
-    Ok(x)
-}
-
-// ---------------------------------------------------------------------------
-// Transport components.
-// ---------------------------------------------------------------------------
-
-struct TransportComponent {
-    name: &'static str,
-    description: &'static str,
-    policy: fn() -> TransportPolicy,
-}
-
-impl Component<TransportPolicy> for TransportComponent {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn description(&self) -> &'static str {
-        self.description
-    }
-    fn build(
-        &self,
-        _params: &ParamMap,
-        _seeds: &mut SeedSplitter,
-    ) -> Result<TransportPolicy, ComponentError> {
-        Ok((self.policy)())
-    }
-}
-
-/// The registry of transport-policy components: `paper`, `all-udp`,
-/// `all-tcp`.
-pub fn transport_components() -> &'static ComponentRegistry<TransportPolicy> {
-    static REGISTRY: OnceLock<ComponentRegistry<TransportPolicy>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("transport");
-        for (name, description, policy) in [
-            (
-                "paper",
-                "Section 5.3 mapping: audits over TCP, everything else over UDP",
-                TransportPolicy::paper as fn() -> TransportPolicy,
-            ),
-            (
-                "all-udp",
-                "Everything over UDP, audits included (cheaper, lossy)",
-                TransportPolicy::all_udp,
-            ),
-            (
-                "all-tcp",
-                "Everything over TCP (loss-free control plane, for ablations)",
-                TransportPolicy::all_tcp,
-            ),
-        ] {
-            registry
-                .register(Box::new(TransportComponent {
-                    name,
-                    description,
-                    policy,
-                }))
-                .expect("built-in transport components have unique names");
-        }
-        registry
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Loss components.
-// ---------------------------------------------------------------------------
-
-struct NoLoss;
-
-impl Component<LossModel> for NoLoss {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-    fn description(&self) -> &'static str {
-        "No message loss at all"
-    }
-    fn build(&self, _: &ParamMap, _: &mut SeedSplitter) -> Result<LossModel, ComponentError> {
-        Ok(LossModel::None)
-    }
-}
-
-struct BernoulliLoss;
-
-impl Component<LossModel> for BernoulliLoss {
-    fn name(&self) -> &'static str {
-        "bernoulli"
-    }
-    fn description(&self) -> &'static str {
-        "Independent per-message loss with probability `pl` (the paper's model)"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![ParamSpec::optional(
-            "pl",
-            ParamKind::Float,
-            ParamValue::Float(0.04),
-            "loss probability in [0, 1]",
-        )])
-    }
-    fn build(&self, params: &ParamMap, _: &mut SeedSplitter) -> Result<LossModel, ComponentError> {
-        let pl = fraction_param("bernoulli", params, "pl")?;
-        Ok(LossModel::Bernoulli { pl })
-    }
-}
-
-struct GilbertElliottLoss;
-
-impl Component<LossModel> for GilbertElliottLoss {
-    fn name(&self) -> &'static str {
-        "gilbert-elliott"
-    }
-    fn description(&self) -> &'static str {
-        "Bursty two-state Markov loss (good/bad states with per-state loss rates)"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            ParamSpec::optional(
-                "p_gb",
-                ParamKind::Float,
-                ParamValue::Float(0.05),
-                "good-to-bad transition probability",
-            ),
-            ParamSpec::optional(
-                "p_bg",
-                ParamKind::Float,
-                ParamValue::Float(0.45),
-                "bad-to-good transition probability",
-            ),
-            ParamSpec::optional(
-                "loss_good",
-                ParamKind::Float,
-                ParamValue::Float(0.02),
-                "loss probability in the good state",
-            ),
-            ParamSpec::optional(
-                "loss_bad",
-                ParamKind::Float,
-                ParamValue::Float(0.5),
-                "loss probability in the bad state",
-            ),
-        ])
-    }
-    fn build(&self, params: &ParamMap, _: &mut SeedSplitter) -> Result<LossModel, ComponentError> {
-        let p_gb = fraction_param("gilbert-elliott", params, "p_gb")?;
-        let p_bg = fraction_param("gilbert-elliott", params, "p_bg")?;
-        let loss_good = fraction_param("gilbert-elliott", params, "loss_good")?;
-        let loss_bad = fraction_param("gilbert-elliott", params, "loss_bad")?;
-        if p_gb + p_bg <= 0.0 {
-            return Err(ComponentError::InvalidParam {
-                component: "gilbert-elliott".to_string(),
-                key: "p_bg".to_string(),
-                reason: "both transition probabilities are zero; the chain never mixes".to_string(),
-            });
-        }
-        Ok(LossModel::GilbertElliott {
-            p_gb,
-            p_bg,
-            loss_good,
-            loss_bad,
-        })
-    }
-}
-
-/// The registry of loss-model components: `none`, `bernoulli`,
-/// `gilbert-elliott`.
-pub fn loss_components() -> &'static ComponentRegistry<LossModel> {
-    static REGISTRY: OnceLock<ComponentRegistry<LossModel>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("loss");
-        registry
-            .register(Box::new(NoLoss))
-            .expect("unique loss component");
-        registry
-            .register(Box::new(BernoulliLoss))
-            .expect("unique loss component");
-        registry
-            .register(Box::new(GilbertElliottLoss))
-            .expect("unique loss component");
-        registry
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Capability-class components.
-// ---------------------------------------------------------------------------
-
-/// Everyone gets the scenario's default attachment (no heterogeneity).
-struct UniformAssigner;
-
-impl CapabilityClassAssigner for UniformAssigner {
-    fn assign(
-        &self,
-        _index: usize,
-        _is_freerider: bool,
-        default: NodeCapability,
-        _rng: &mut SmallRng,
-    ) -> NodeCapability {
-        default
-    }
-}
-
-struct UniformComponent;
-
-impl Component<Box<dyn CapabilityClassAssigner>> for UniformComponent {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-    fn description(&self) -> &'static str {
-        "Every node gets the scenario's default attachment"
-    }
-    fn build(
-        &self,
-        _: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn CapabilityClassAssigner>, ComponentError> {
-        Ok(Box::new(UniformAssigner))
-    }
-}
-
-/// The historical heterogeneity model: a fraction of the *honest* population
-/// is poorly connected. Draw-for-draw identical to the pre-registry builder
-/// loop: the source never draws, freeriders never draw (the short-circuit is
-/// part of the RNG contract), and a zero fraction consumes nothing.
-struct PoorFractionAssigner {
-    fraction: f64,
-    poor_upload_bps: u64,
-    poor_extra_loss: f64,
-}
-
-impl CapabilityClassAssigner for PoorFractionAssigner {
-    fn assign(
-        &self,
-        index: usize,
-        is_freerider: bool,
-        default: NodeCapability,
-        rng: &mut SmallRng,
-    ) -> NodeCapability {
-        if index == 0 {
-            // The source is always well provisioned.
-            default
-        } else if !is_freerider && self.fraction > 0.0 && rng.gen_bool(self.fraction) {
-            NodeCapability::poor(self.poor_upload_bps, self.poor_extra_loss)
-        } else {
-            default
-        }
-    }
-}
-
-struct PoorFractionComponent;
-
-impl Component<Box<dyn CapabilityClassAssigner>> for PoorFractionComponent {
-    fn name(&self) -> &'static str {
-        "poor-fraction"
-    }
-    fn description(&self) -> &'static str {
-        "A fraction of the honest nodes is poorly connected (the paper's false-positive source)"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            ParamSpec::optional(
-                "fraction",
-                ParamKind::Float,
-                ParamValue::Float(0.1),
-                "fraction of honest nodes with a poor attachment",
-            ),
-            ParamSpec::optional(
-                "poor_upload_bps",
-                ParamKind::Int,
-                ParamValue::Int(800_000),
-                "uplink of a poor node, bits per second",
-            ),
-            ParamSpec::optional(
-                "poor_extra_loss",
-                ParamKind::Float,
-                ParamValue::Float(0.03),
-                "extra access-link loss of a poor node",
-            ),
-        ])
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn CapabilityClassAssigner>, ComponentError> {
-        Ok(Box::new(PoorFractionAssigner {
-            fraction: fraction_param("poor-fraction", params, "fraction")?,
-            poor_upload_bps: int_param(params, "poor_upload_bps").max(1) as u64,
-            poor_extra_loss: fraction_param("poor-fraction", params, "poor_extra_loss")?,
-        }))
-    }
-}
-
-/// Heterogeneous access-technology tiers: every non-source node draws one of
-/// four classes — fiber, cable, DSL, mobile — with per-class uplink rate,
-/// access loss and latency scale. The per-node draw happens unconditionally
-/// (freeriders included) so the class stream is a pure function of the node
-/// order.
-struct TieredAssigner {
-    fiber: f64,
-    cable: f64,
-    dsl: f64,
-}
-
-impl TieredAssigner {
+impl CapabilityModel {
     const FIBER: NodeCapability = NodeCapability {
         upload_bps: Some(50_000_000),
         extra_loss: 0.0,
@@ -397,103 +70,102 @@ impl TieredAssigner {
         extra_loss: 0.03,
         latency_scale: 2.0,
     };
-}
 
-impl CapabilityClassAssigner for TieredAssigner {
-    fn assign(
+    /// The default tier mix: 15 % fiber, 45 % cable, 30 % DSL, 10 % mobile.
+    pub fn tiered() -> Self {
+        CapabilityModel::Tiered {
+            fiber: 0.15,
+            cable: 0.45,
+            dsl: 0.3,
+        }
+    }
+
+    /// A short name for listings: `uniform`, `poor-fraction` or `tiered`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            CapabilityModel::PoorFraction { fraction, .. } if *fraction <= 0.0 => "uniform",
+            CapabilityModel::PoorFraction { .. } => "poor-fraction",
+            CapabilityModel::Tiered { .. } => "tiered",
+        }
+    }
+
+    /// The capability of node `index`. `default` is the scenario's baseline
+    /// attachment; node 0 — the broadcast source — always gets `default`.
+    pub fn assign(
         &self,
         index: usize,
-        _is_freerider: bool,
+        is_freerider: bool,
         default: NodeCapability,
         rng: &mut SmallRng,
     ) -> NodeCapability {
         if index == 0 {
             return default; // the source is always well provisioned
         }
-        let draw: f64 = rng.gen_range(0.0..1.0);
-        if draw < self.fiber {
-            TieredAssigner::FIBER
-        } else if draw < self.fiber + self.cable {
-            TieredAssigner::CABLE
-        } else if draw < self.fiber + self.cable + self.dsl {
-            TieredAssigner::DSL
-        } else {
-            TieredAssigner::MOBILE
+        match *self {
+            CapabilityModel::PoorFraction {
+                fraction,
+                poor_upload_bps,
+                poor_extra_loss,
+            } => {
+                if !is_freerider && fraction > 0.0 && rng.gen_bool(fraction) {
+                    NodeCapability::poor(poor_upload_bps, poor_extra_loss)
+                } else {
+                    default
+                }
+            }
+            CapabilityModel::Tiered { fiber, cable, dsl } => {
+                let draw: f64 = rng.gen_range(0.0..1.0);
+                if draw < fiber {
+                    CapabilityModel::FIBER
+                } else if draw < fiber + cable {
+                    CapabilityModel::CABLE
+                } else if draw < fiber + cable + dsl {
+                    CapabilityModel::DSL
+                } else {
+                    CapabilityModel::MOBILE
+                }
+            }
         }
     }
-}
 
-struct TieredComponent;
-
-impl Component<Box<dyn CapabilityClassAssigner>> for TieredComponent {
-    fn name(&self) -> &'static str {
-        "tiered"
-    }
-    fn description(&self) -> &'static str {
-        "Per-node access tiers: fiber/cable/DSL/mobile classes with uplink, loss and latency"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            ParamSpec::optional(
-                "fiber",
-                ParamKind::Float,
-                ParamValue::Float(0.15),
-                "fraction of fiber nodes (50 Mbps up, 0.8x latency)",
-            ),
-            ParamSpec::optional(
-                "cable",
-                ParamKind::Float,
-                ParamValue::Float(0.45),
-                "fraction of cable nodes (10 Mbps up)",
-            ),
-            ParamSpec::optional(
-                "dsl",
-                ParamKind::Float,
-                ParamValue::Float(0.3),
-                "fraction of DSL nodes (2 Mbps up, 1% access loss, 1.3x latency)",
-            ),
-        ])
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn CapabilityClassAssigner>, ComponentError> {
-        let fiber = fraction_param("tiered", params, "fiber")?;
-        let cable = fraction_param("tiered", params, "cable")?;
-        let dsl = fraction_param("tiered", params, "dsl")?;
-        if fiber + cable + dsl > 1.0 {
-            return Err(ComponentError::InvalidParam {
-                component: "tiered".to_string(),
-                key: "dsl".to_string(),
-                reason: format!(
-                    "class fractions sum to {} > 1 (the remainder is the mobile class)",
+    /// Validates the model's parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if a fraction is outside `[0, 1]`, the poor
+    /// uplink is zero, or the tier fractions sum to more than 1.
+    pub fn validate(&self) {
+        let fraction = |name: &str, x: f64| {
+            assert!(
+                (0.0..=1.0).contains(&x),
+                "capability {name} = {x} not in [0,1]"
+            );
+        };
+        match *self {
+            CapabilityModel::PoorFraction {
+                fraction: f,
+                poor_upload_bps,
+                poor_extra_loss,
+            } => {
+                fraction("fraction", f);
+                assert!(
+                    poor_upload_bps >= 1,
+                    "capability poor_upload_bps must be positive"
+                );
+                fraction("poor_extra_loss", poor_extra_loss);
+            }
+            CapabilityModel::Tiered { fiber, cable, dsl } => {
+                fraction("fiber", fiber);
+                fraction("cable", cable);
+                fraction("dsl", dsl);
+                assert!(
+                    fiber + cable + dsl <= 1.0,
+                    "capability fiber + cable + dsl = {} > 1 (the remainder is the mobile class)",
                     fiber + cable + dsl
-                ),
-            });
+                );
+            }
         }
-        Ok(Box::new(TieredAssigner { fiber, cable, dsl }))
     }
-}
-
-/// The registry of capability-class components: `uniform`, `poor-fraction`,
-/// `tiered`.
-pub fn capability_components() -> &'static ComponentRegistry<Box<dyn CapabilityClassAssigner>> {
-    static REGISTRY: OnceLock<ComponentRegistry<Box<dyn CapabilityClassAssigner>>> =
-        OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("capability");
-        registry
-            .register(Box::new(UniformComponent))
-            .expect("unique capability component");
-        registry
-            .register(Box::new(PoorFractionComponent))
-            .expect("unique capability component");
-        registry
-            .register(Box::new(TieredComponent))
-            .expect("unique capability component");
-        registry
-    })
 }
 
 #[cfg(test)]
@@ -502,55 +174,15 @@ mod tests {
     use lifting_sim::derive_rng;
 
     #[test]
-    fn transport_components_build_their_policies() {
-        let registry = transport_components();
-        let mut seeds = SeedSplitter::new(1);
-        assert_eq!(
-            registry
-                .build("paper", &ParamMap::new(), &mut seeds)
-                .unwrap(),
-            TransportPolicy::paper()
-        );
-        assert_eq!(
-            registry
-                .build("all-tcp", &ParamMap::new(), &mut seeds)
-                .unwrap(),
-            TransportPolicy::all_tcp()
-        );
-        assert!(matches!(
-            registry.build("carrier-pigeon", &ParamMap::new(), &mut seeds),
-            Err(ComponentError::UnknownComponent { .. })
-        ));
-    }
-
-    #[test]
-    fn loss_components_validate_their_fractions() {
-        let registry = loss_components();
-        let mut seeds = SeedSplitter::new(1);
-        let params = ParamMap::new().with("pl", ParamValue::Float(0.07));
-        assert_eq!(
-            registry.build("bernoulli", &params, &mut seeds).unwrap(),
-            LossModel::Bernoulli { pl: 0.07 }
-        );
-        let bad = ParamMap::new().with("pl", ParamValue::Float(1.5));
-        let err = registry.build("bernoulli", &bad, &mut seeds).unwrap_err();
-        assert!(matches!(err, ComponentError::InvalidParam { ref key, .. } if key == "pl"));
-    }
-
-    #[test]
-    fn poor_fraction_assigner_replays_the_legacy_draw_order() {
-        // The assigner must consume the RNG exactly like the historical
-        // builder loop: one draw per honest non-source node when the
-        // fraction is positive, none otherwise.
-        let registry = capability_components();
-        let mut seeds = SeedSplitter::new(9);
-        let params = ParamMap::new()
-            .with("fraction", ParamValue::Float(0.5))
-            .with("poor_upload_bps", ParamValue::Int(700_000))
-            .with("poor_extra_loss", ParamValue::Float(0.02));
-        let assigner = registry
-            .build("poor-fraction", &params, &mut seeds)
-            .unwrap();
+    fn poor_fraction_replays_the_legacy_draw_order() {
+        // The model must consume the RNG exactly like the historical builder
+        // loop: one draw per honest non-source node when the fraction is
+        // positive, none otherwise.
+        let model = CapabilityModel::PoorFraction {
+            fraction: 0.5,
+            poor_upload_bps: 700_000,
+            poor_extra_loss: 0.02,
+        };
         let default = NodeCapability::broadband(5_000_000);
 
         let mut expected_rng = derive_rng(42, 2);
@@ -564,48 +196,60 @@ mod tests {
             } else {
                 default
             };
-            let actual = assigner.assign(i, is_freerider, default, &mut actual_rng);
+            let actual = model.assign(i, is_freerider, default, &mut actual_rng);
             assert_eq!(actual, expected, "node {i}");
         }
+        // Both streams must be at the same position afterwards.
+        assert_eq!(expected_rng.gen::<u64>(), actual_rng.gen::<u64>());
     }
 
     #[test]
-    fn tiered_assigner_is_deterministic_and_covers_all_classes() {
-        let registry = capability_components();
-        let mut seeds = SeedSplitter::new(9);
-        let assigner = registry
-            .build("tiered", &ParamMap::new(), &mut seeds)
-            .unwrap();
+    fn zero_poor_fraction_is_uniform_and_draws_nothing() {
+        let model = CapabilityModel::PoorFraction {
+            fraction: 0.0,
+            poor_upload_bps: 500_000,
+            poor_extra_loss: 0.0,
+        };
+        assert_eq!(model.name(), "uniform");
+        let default = NodeCapability::unconstrained();
+        let mut rng = derive_rng(3, 2);
+        for i in 0..20 {
+            assert_eq!(model.assign(i, false, default, &mut rng), default);
+        }
+        assert_eq!(rng.gen::<u64>(), derive_rng(3, 2).gen::<u64>());
+    }
+
+    #[test]
+    fn tiered_is_deterministic_and_covers_all_classes() {
+        let model = CapabilityModel::tiered();
         let default = NodeCapability::unconstrained();
         let assign_all = || {
             let mut rng = derive_rng(7, 2);
             (0..200)
-                .map(|i| assigner.assign(i, false, default, &mut rng))
+                .map(|i| model.assign(i, false, default, &mut rng))
                 .collect::<Vec<_>>()
         };
         let a = assign_all();
         assert_eq!(a, assign_all());
         assert_eq!(a[0], default, "the source keeps the default");
         for class in [
-            TieredAssigner::FIBER,
-            TieredAssigner::CABLE,
-            TieredAssigner::DSL,
-            TieredAssigner::MOBILE,
+            CapabilityModel::FIBER,
+            CapabilityModel::CABLE,
+            CapabilityModel::DSL,
+            CapabilityModel::MOBILE,
         ] {
             assert!(a.contains(&class), "missing {class:?}");
         }
     }
 
     #[test]
+    #[should_panic(expected = "fiber + cable + dsl")]
     fn tiered_fractions_over_one_are_rejected() {
-        let registry = capability_components();
-        let mut seeds = SeedSplitter::new(1);
-        let params = ParamMap::new()
-            .with("fiber", ParamValue::Float(0.6))
-            .with("cable", ParamValue::Float(0.6));
-        let Err(err) = registry.build("tiered", &params, &mut seeds) else {
-            panic!("fractions summing over 1 must be rejected");
-        };
-        assert!(matches!(err, ComponentError::InvalidParam { .. }));
+        CapabilityModel::Tiered {
+            fiber: 0.6,
+            cable: 0.6,
+            dsl: 0.0,
+        }
+        .validate();
     }
 }

@@ -13,14 +13,10 @@ use lifting_analysis::ProtocolParams;
 use lifting_core::Auditor;
 use lifting_gossip::StreamSource;
 use lifting_membership::{ChurnPlan, Directory, WorkloadAction, WorkloadPlan};
-use lifting_net::provider::{capability_components, CapabilityClassAssigner};
 use lifting_net::{FaultPlan, Network, NodeCapability};
 use lifting_reputation::ManagerAssignment;
-use lifting_sim::{
-    derive_rng, NodeId, ParamMap, ParamValue, SeedSplitter, SimDuration, SimTime, StreamId,
-};
+use lifting_sim::{derive_rng, NodeId, SimDuration, SimTime, StreamId};
 
-use crate::components::{resolve_components, workload_components};
 use crate::layers::{
     AdaptiveColluder, Adversary, AuditCoordinator, BlameSpammer, Colluder, Freerider,
     GradientFreerider, Honest, NodeStack, OnOffFreerider, SelectiveFreerider, Whitewasher,
@@ -49,56 +45,23 @@ const FAULT_PLAN_STREAM: u64 = 9;
 /// Fresh RNG stream for the workload plan's draws. Like the churn plan
 /// stream it is expanded independently by [`build_world`] and
 /// [`initial_events`] (both see the identical plan), and it is only consumed
-/// when the scenario declares a `workload` component — every pre-workload
-/// scenario keeps its exact historical stream consumption.
+/// when the scenario sets a `workload` — every workload-free scenario keeps
+/// its exact historical stream consumption.
 const WORKLOAD_PLAN_STREAM: u64 = 10;
 
-/// Expands the scenario's declared workload component into its pre-drawn
-/// event plan (`None` when no workload component is declared). The expansion
-/// is a pure function of `(seed, component spec, nodes, streams, duration)`,
-/// so every call site sees the identical plan.
+/// Expands the scenario's workload model into its pre-drawn event plan
+/// (`None` when no workload is set). The expansion is a pure function of
+/// `(seed, workload, nodes, streams, duration)`, so every call site sees the
+/// identical plan.
 pub(crate) fn workload_plan(config: &ScenarioConfig) -> Option<WorkloadPlan> {
-    let spec = config.components.workload.as_ref()?;
-    let generator = workload_components()
-        .build(
-            &spec.name,
-            &spec.params,
-            &mut SeedSplitter::new(config.seed),
+    config.workload.map(|workload| {
+        workload.expand(
+            config.nodes,
+            config.stream_count(),
+            config.duration,
+            &mut derive_rng(config.seed, WORKLOAD_PLAN_STREAM),
         )
-        .unwrap_or_else(|e| panic!("workload component failed to resolve: {e}"));
-    Some(generator.expand(
-        config.nodes,
-        config.stream_count(),
-        config.duration,
-        &mut derive_rng(config.seed, WORKLOAD_PLAN_STREAM),
-    ))
-}
-
-/// The capability-class provider the builder assigns node attachments with:
-/// the declared `capability` component, or the legacy poor-fraction fields
-/// expressed as the equivalent registered component. Both paths consume the
-/// capability RNG stream identically, so pre-registry scenarios stay
-/// bit-identical.
-fn capability_assigner(config: &ScenarioConfig) -> Box<dyn CapabilityClassAssigner> {
-    let registry = capability_components();
-    let mut seeds = SeedSplitter::new(config.seed);
-    match &config.components.capability {
-        Some(spec) => registry
-            .build(&spec.name, &spec.params, &mut seeds)
-            .unwrap_or_else(|e| panic!("capability component failed to resolve: {e}")),
-        None => {
-            let params = ParamMap::new()
-                .with("fraction", ParamValue::Float(config.poor_node_fraction))
-                .with(
-                    "poor_upload_bps",
-                    ParamValue::Int(config.poor_upload_bps as i64),
-                )
-                .with("poor_extra_loss", ParamValue::Float(config.poor_extra_loss));
-            registry
-                .build("poor-fraction", &params, &mut seeds)
-                .expect("legacy capability fields are valid poor-fraction params")
-        }
-    }
+    })
 }
 
 /// Expands the scenario's fault schedule into its pre-drawn per-wave
@@ -199,13 +162,7 @@ pub fn adversary_for(
 }
 
 /// Builds the system described by `config`.
-pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
-    // Resolve the declarative component axes first: the transport, loss and
-    // adversary components write back into their legacy fields, so the rest
-    // of the construction (and `validate`) sees one source of truth.
-    resolve_components(&mut config)
-        .unwrap_or_else(|e| panic!("scenario component resolution failed: {e}"));
-    let config = config;
+pub fn build_world(config: ScenarioConfig) -> SystemWorld {
     config.validate();
     let n = config.nodes;
     let seed = config.seed;
@@ -228,17 +185,19 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
     }
     let mut network = Network::new(n, config.network.clone(), derive_rng(seed, 1));
 
-    // Node capabilities: assigned per node by the scenario's capability-class
-    // provider (the legacy poor-fraction loop is the default provider, draw
-    // for draw).
-    let assigner = capability_assigner(&config);
+    // Node capabilities: assigned per node by the scenario's capability model
+    // (the poor-fraction model is the historical builder loop, draw for
+    // draw).
     let default_capability = match config.default_upload_bps {
         Some(bps) => NodeCapability::broadband(bps),
         None => NodeCapability::unconstrained(),
     };
     let mut cap_rng = derive_rng(seed, 2);
     for i in 0..n {
-        let cap = assigner.assign(i, config.is_freerider(i), default_capability, &mut cap_rng);
+        let cap =
+            config
+                .capability
+                .assign(i, config.is_freerider(i), default_capability, &mut cap_rng);
         network.set_capability(NodeId::new(i as u32), cap);
     }
 

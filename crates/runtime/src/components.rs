@@ -1,505 +1,21 @@
-//! Runtime-level component registries: workload generators, adversaries and
-//! outcome exporters, plus the resolution glue that turns a
-//! [`ScenarioConfig`]'s declarative `components` section into live providers.
+//! Outcome exporters — the one runtime-level component registry — and the
+//! `--list` rendering of a scenario's typed configuration.
 //!
-//! Together with the network registries of [`lifting_net::provider`]
-//! (transports, loss models, capability classes), these registries make
-//! scenario construction compositional: a registry entry picks named
-//! components and parameter maps instead of hand-assembling enums, and every
-//! axis can be extended by registering a new component — no builder surgery.
-//!
-//! Resolution happens in [`crate::builder::build_world`] via
-//! [`resolve_components`]; everything a component resolves to is derived
-//! from the same [`lifting_sim::SeedSplitter`] streams the legacy fields
-//! used, so a scenario re-expressed through components stays bit-identical.
+//! Scenario configuration itself is typed: [`ScenarioConfig`] carries the
+//! network, capability, workload, adversary, churn and fault models as plain
+//! enums and structs, validated in one place by [`ScenarioConfig::validate`].
+//! The exporter is not a property of the scenario — the binaries pick one per
+//! run (`run_scenario --exporter NAME`) — so it stays a named component of a
+//! [`lifting_sim::ComponentRegistry`].
 
 use std::sync::OnceLock;
 
-use lifting_membership::{DiurnalCycle, RegionalFailureWaves, WorkloadGenerator, ZapSwitching};
-use lifting_net::provider::{capability_components, loss_components, transport_components};
-use lifting_sim::{
-    Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
-    ParamsSchema, SeedSplitter, SimDuration,
-};
+use lifting_membership::WorkloadModel;
+use lifting_net::{CapabilityModel, LossModel, TransportPolicy};
+use lifting_sim::{Component, ComponentError, ComponentRegistry, ParamMap, SeedSplitter};
 
 use crate::metrics::RunOutcome;
-use crate::scenario::{AdversaryScenario, ComponentSpec, ScenarioConfig};
-
-fn float_param(params: &ParamMap, key: &str) -> f64 {
-    match params.get(key) {
-        Some(ParamValue::Float(x)) => *x,
-        Some(ParamValue::Int(x)) => *x as f64,
-        _ => unreachable!("schema-validated float param `{key}`"),
-    }
-}
-
-fn int_param(params: &ParamMap, key: &str) -> i64 {
-    match params.get(key) {
-        Some(ParamValue::Int(x)) => *x,
-        _ => unreachable!("schema-validated int param `{key}`"),
-    }
-}
-
-fn fraction_param(component: &str, params: &ParamMap, key: &str) -> Result<f64, ComponentError> {
-    let x = float_param(params, key);
-    if !(0.0..=1.0).contains(&x) {
-        return Err(ComponentError::InvalidParam {
-            component: component.to_string(),
-            key: key.to_string(),
-            reason: format!("{x} is not in [0, 1]"),
-        });
-    }
-    Ok(x)
-}
-
-fn positive_secs(
-    component: &str,
-    params: &ParamMap,
-    key: &str,
-) -> Result<SimDuration, ComponentError> {
-    let x = float_param(params, key);
-    // NaN must fail too, so the check is written as "not known-positive".
-    if x.is_nan() || x <= 0.0 {
-        return Err(ComponentError::InvalidParam {
-            component: component.to_string(),
-            key: key.to_string(),
-            reason: format!("{x} seconds is not positive"),
-        });
-    }
-    Ok(SimDuration::from_secs_f64(x))
-}
-
-fn positive_int(component: &str, params: &ParamMap, key: &str) -> Result<i64, ComponentError> {
-    let x = int_param(params, key);
-    if x < 1 {
-        return Err(ComponentError::InvalidParam {
-            component: component.to_string(),
-            key: key.to_string(),
-            reason: format!("{x} must be at least 1"),
-        });
-    }
-    Ok(x)
-}
-
-// ---------------------------------------------------------------------------
-// Workload components.
-// ---------------------------------------------------------------------------
-
-struct DiurnalComponent;
-
-impl Component<Box<dyn WorkloadGenerator>> for DiurnalComponent {
-    fn name(&self) -> &'static str {
-        "diurnal"
-    }
-    fn description(&self) -> &'static str {
-        "Diurnal audience cycles: a fraction of the viewers departs and returns each cycle"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            ParamSpec::optional(
-                "participation",
-                ParamKind::Float,
-                ParamValue::Float(0.6),
-                "fraction of the viewers subject to the cycle",
-            ),
-            ParamSpec::optional(
-                "cycle_secs",
-                ParamKind::Float,
-                ParamValue::Float(12.0),
-                "length of one audience cycle, seconds",
-            ),
-            ParamSpec::optional(
-                "offline_fraction",
-                ParamKind::Float,
-                ParamValue::Float(0.35),
-                "fraction of each cycle a participating viewer spends offline",
-            ),
-            ParamSpec::optional(
-                "warmup_secs",
-                ParamKind::Float,
-                ParamValue::Float(4.0),
-                "quiet start before the first departure, seconds",
-            ),
-        ])
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn WorkloadGenerator>, ComponentError> {
-        Ok(Box::new(DiurnalCycle {
-            participation: fraction_param("diurnal", params, "participation")?,
-            cycle: positive_secs("diurnal", params, "cycle_secs")?,
-            offline_fraction: fraction_param("diurnal", params, "offline_fraction")?,
-            warmup: positive_secs("diurnal", params, "warmup_secs")?,
-        }))
-    }
-}
-
-struct RegionalFailureComponent;
-
-impl Component<Box<dyn WorkloadGenerator>> for RegionalFailureComponent {
-    fn name(&self) -> &'static str {
-        "regional-failure"
-    }
-    fn description(&self) -> &'static str {
-        "Correlated regional failures: whole geographic regions crash together and return"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            ParamSpec::optional(
-                "regions",
-                ParamKind::Int,
-                ParamValue::Int(4),
-                "number of equal-size regions the viewers are split into",
-            ),
-            ParamSpec::optional(
-                "waves",
-                ParamKind::Int,
-                ParamValue::Int(2),
-                "number of failure waves over the run",
-            ),
-            ParamSpec::optional(
-                "outage_secs",
-                ParamKind::Float,
-                ParamValue::Float(4.0),
-                "how long each failed region stays dark, seconds",
-            ),
-            ParamSpec::optional(
-                "warmup_secs",
-                ParamKind::Float,
-                ParamValue::Float(5.0),
-                "quiet start before the first wave may hit, seconds",
-            ),
-        ])
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn WorkloadGenerator>, ComponentError> {
-        Ok(Box::new(RegionalFailureWaves {
-            regions: positive_int("regional-failure", params, "regions")? as usize,
-            waves: positive_int("regional-failure", params, "waves")? as usize,
-            outage: positive_secs("regional-failure", params, "outage_secs")?,
-            warmup: positive_secs("regional-failure", params, "warmup_secs")?,
-        }))
-    }
-}
-
-struct ZapComponent;
-
-impl Component<Box<dyn WorkloadGenerator>> for ZapComponent {
-    fn name(&self) -> &'static str {
-        "zap"
-    }
-    fn description(&self) -> &'static str {
-        "Zap-style channel switching: viewers hop between channels with exponential dwells"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            ParamSpec::optional(
-                "zappers",
-                ParamKind::Float,
-                ParamValue::Float(0.4),
-                "fraction of the viewers that zap between channels",
-            ),
-            ParamSpec::optional(
-                "mean_dwell_secs",
-                ParamKind::Float,
-                ParamValue::Float(6.0),
-                "mean time a zapper stays on one channel, seconds",
-            ),
-            ParamSpec::optional(
-                "warmup_secs",
-                ParamKind::Float,
-                ParamValue::Float(3.0),
-                "quiet start before the first switch, seconds",
-            ),
-        ])
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn WorkloadGenerator>, ComponentError> {
-        Ok(Box::new(ZapSwitching {
-            zappers: fraction_param("zap", params, "zappers")?,
-            mean_dwell: positive_secs("zap", params, "mean_dwell_secs")?,
-            warmup: positive_secs("zap", params, "warmup_secs")?,
-        }))
-    }
-}
-
-/// The registry of workload-generator components: `diurnal`,
-/// `regional-failure`, `zap`.
-pub fn workload_components() -> &'static ComponentRegistry<Box<dyn WorkloadGenerator>> {
-    static REGISTRY: OnceLock<ComponentRegistry<Box<dyn WorkloadGenerator>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("workload");
-        registry
-            .register(Box::new(DiurnalComponent))
-            .expect("unique workload component");
-        registry
-            .register(Box::new(RegionalFailureComponent))
-            .expect("unique workload component");
-        registry
-            .register(Box::new(ZapComponent))
-            .expect("unique workload component");
-        registry
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Adversary components.
-// ---------------------------------------------------------------------------
-
-/// One adversary family as a component: builds the [`AdversaryScenario`]
-/// value the per-node wiring of [`crate::builder::adversary_for`] consumes.
-struct AdversaryComponent {
-    name: &'static str,
-    description: &'static str,
-    schema: fn() -> ParamsSchema,
-    build: fn(&ParamMap) -> Result<AdversaryScenario, ComponentError>,
-}
-
-impl Component<AdversaryScenario> for AdversaryComponent {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn description(&self) -> &'static str {
-        self.description
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        (self.schema)()
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<AdversaryScenario, ComponentError> {
-        (self.build)(params)
-    }
-}
-
-/// The registry of adversary components, one per [`AdversaryScenario`]
-/// family: `baseline`, `on-off`, `blame-spam`, `selective-freerider`,
-/// `gradient-freerider`, `whitewasher`, `adaptive-colluders`.
-pub fn adversary_components() -> &'static ComponentRegistry<AdversaryScenario> {
-    static REGISTRY: OnceLock<ComponentRegistry<AdversaryScenario>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("adversary");
-        let entries: Vec<AdversaryComponent> = vec![
-            AdversaryComponent {
-                name: "baseline",
-                description:
-                    "The paper's adversary: independent freeriders, collusion per the scenario",
-                schema: ParamsSchema::empty,
-                build: |_| Ok(AdversaryScenario::Baseline),
-            },
-            AdversaryComponent {
-                name: "on-off",
-                description: "Freeride for `on_periods`, behave for `off_periods`, diluting blame",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "on_periods",
-                            ParamKind::Int,
-                            ParamValue::Int(2),
-                            "length of each freeriding window, gossip periods",
-                        ),
-                        ParamSpec::optional(
-                            "off_periods",
-                            ParamKind::Int,
-                            ParamValue::Int(2),
-                            "length of each honest window, gossip periods",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    Ok(AdversaryScenario::OnOff {
-                        on_periods: positive_int("on-off", params, "on_periods")? as u64,
-                        off_periods: positive_int("on-off", params, "off_periods")? as u64,
-                    })
-                },
-            },
-            AdversaryComponent {
-                name: "blame-spam",
-                description: "Disseminate honestly but flood the managers with fabricated blames",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "blames_per_period",
-                            ParamKind::Int,
-                            ParamValue::Int(5),
-                            "fabricated blames per gossip tick per spammer",
-                        ),
-                        ParamSpec::optional(
-                            "blame_value",
-                            ParamKind::Float,
-                            ParamValue::Float(5.0),
-                            "value of each fabricated blame (non-negative)",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    let blame_value = float_param(params, "blame_value");
-                    if blame_value < 0.0 {
-                        return Err(ComponentError::InvalidParam {
-                            component: "blame-spam".to_string(),
-                            key: "blame_value".to_string(),
-                            reason: format!("{blame_value} is negative"),
-                        });
-                    }
-                    Ok(AdversaryScenario::BlameSpam {
-                        blames_per_period: positive_int("blame-spam", params, "blames_per_period")?
-                            as u32,
-                        blame_value,
-                    })
-                },
-            },
-            AdversaryComponent {
-                name: "selective-freerider",
-                description: "Honest on some channels, fully silent on the masked ones",
-                schema: || {
-                    ParamsSchema::of(vec![ParamSpec::optional(
-                        "silent_mask",
-                        ParamKind::Int,
-                        ParamValue::Int(0b10),
-                        "bitmask of silenced streams (bit s = stream s, nonzero)",
-                    )])
-                },
-                build: |params| {
-                    let silent_mask = int_param(params, "silent_mask");
-                    if silent_mask == 0 {
-                        return Err(ComponentError::InvalidParam {
-                            component: "selective-freerider".to_string(),
-                            key: "silent_mask".to_string(),
-                            reason: "mask must silence at least one stream".to_string(),
-                        });
-                    }
-                    Ok(AdversaryScenario::SelectiveFreerider {
-                        silent_mask: silent_mask as u64,
-                    })
-                },
-            },
-            AdversaryComponent {
-                name: "gradient-freerider",
-                description: "Closed loop: throttle freeriding to ride just above the public η",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "margin",
-                            ParamKind::Float,
-                            ParamValue::Float(2.0),
-                            "safety margin above η the adversary keeps",
-                        ),
-                        ParamSpec::optional(
-                            "step",
-                            ParamKind::Float,
-                            ParamValue::Float(0.25),
-                            "intensity decrement when the score nears η, in (0, 1]",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    let margin = float_param(params, "margin");
-                    let step = float_param(params, "step");
-                    if margin < 0.0 {
-                        return Err(ComponentError::InvalidParam {
-                            component: "gradient-freerider".to_string(),
-                            key: "margin".to_string(),
-                            reason: format!("{margin} is negative"),
-                        });
-                    }
-                    if !(step > 0.0 && step <= 1.0) {
-                        return Err(ComponentError::InvalidParam {
-                            component: "gradient-freerider".to_string(),
-                            key: "step".to_string(),
-                            reason: format!("{step} is not in (0, 1]"),
-                        });
-                    }
-                    Ok(AdversaryScenario::GradientFreerider { margin, step })
-                },
-            },
-            AdversaryComponent {
-                name: "whitewasher",
-                description:
-                    "Closed loop: depart on a score drawdown, rejoin hoping for a clean slate",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "margin",
-                            ParamKind::Float,
-                            ParamValue::Float(0.5),
-                            "drawdown below the observed peak that triggers departure",
-                        ),
-                        ParamSpec::optional(
-                            "offline_secs",
-                            ParamKind::Float,
-                            ParamValue::Float(2.0),
-                            "offline time before each rejoin, seconds",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    let margin = float_param(params, "margin");
-                    if margin < 0.0 {
-                        return Err(ComponentError::InvalidParam {
-                            component: "whitewasher".to_string(),
-                            key: "margin".to_string(),
-                            reason: format!("{margin} is negative"),
-                        });
-                    }
-                    Ok(AdversaryScenario::Whitewasher {
-                        margin,
-                        offline: positive_secs("whitewasher", params, "offline_secs")?,
-                    })
-                },
-            },
-            AdversaryComponent {
-                name: "adaptive-colluders",
-                description: "Closed loop: re-aim cover-traffic bias away from audited accomplices",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "partner_bias",
-                            ParamKind::Float,
-                            ParamValue::Float(0.6),
-                            "probability of picking an unscrutinized accomplice as partner",
-                        ),
-                        ParamSpec::optional(
-                            "cooldown_periods",
-                            ParamKind::Int,
-                            ParamValue::Int(6),
-                            "periods an audited accomplice stays off the bias list",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    Ok(AdversaryScenario::AdaptiveColluders {
-                        partner_bias: fraction_param("adaptive-colluders", params, "partner_bias")?,
-                        cooldown_periods: positive_int(
-                            "adaptive-colluders",
-                            params,
-                            "cooldown_periods",
-                        )? as u64,
-                    })
-                },
-            },
-        ];
-        for entry in entries {
-            registry
-                .register(Box::new(entry))
-                .expect("unique adversary component");
-        }
-        registry
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Outcome exporters.
-// ---------------------------------------------------------------------------
+use crate::scenario::{AdversaryScenario, ScenarioConfig};
 
 /// Renders a finished run's [`RunOutcome`] for a consumer: full JSON, a
 /// one-line summary, or a content digest.
@@ -627,220 +143,107 @@ impl Component<Box<dyn OutcomeExporter>> for ExporterComponent {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Resolution.
-// ---------------------------------------------------------------------------
-
-/// Resolves the config's declarative `components` section into the concrete
-/// values the builder consumes: the transport policy, the loss model and the
-/// adversary are written back into their legacy fields (so the rest of the
-/// pipeline — and serialization — sees one source of truth), while the
-/// capability and workload providers are built on demand by the builder.
-///
-/// Returns a structured error naming the offending component or key; no
-/// registry path panics.
-pub fn resolve_components(config: &mut ScenarioConfig) -> Result<(), ComponentError> {
-    let mut seeds = SeedSplitter::new(config.seed);
-    if let Some(spec) = config.components.transport.clone() {
-        config.network.transports =
-            transport_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    if let Some(spec) = config.components.loss.clone() {
-        config.network.loss = loss_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    if let Some(spec) = config.components.adversary.clone() {
-        config.adversary = adversary_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    // Capability, workload and exporter specs are validated here (shape and
-    // ranges) even though their providers are instantiated later, so a bad
-    // spec fails at resolution with a structured error rather than deep in
-    // the builder.
-    if let Some(spec) = &config.components.capability {
-        capability_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    if let Some(spec) = &config.components.workload {
-        workload_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    if let Some(spec) = &config.components.exporter {
-        exporter_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    Ok(())
-}
-
-/// The scenario's composition across every component axis, legacy fields
-/// included: explicit `components` entries verbatim, the rest derived from
-/// the fields the axis would otherwise be configured by. This is what
-/// `run_scenario --list` prints next to each scenario.
+/// The scenario's composition, rendered from its typed fields as
+/// `(axis, value)` pairs over the transport, loss, capability, workload and
+/// adversary axes. This is what `run_scenario --list` prints next to each
+/// scenario.
 pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)> {
-    let spec_of = |spec: &ComponentSpec| {
-        if spec.params.is_empty() {
-            spec.name.clone()
-        } else {
-            format!("{}{{{}}}", spec.name, spec.params.render())
+    let transport = if config.network.transports == TransportPolicy::paper() {
+        "paper"
+    } else if config.network.transports == TransportPolicy::all_udp() {
+        "all-udp"
+    } else if config.network.transports == TransportPolicy::all_tcp() {
+        "all-tcp"
+    } else {
+        "custom"
+    };
+    let loss = match config.network.loss {
+        LossModel::None => "none".to_string(),
+        LossModel::Bernoulli { pl } => format!("bernoulli{{pl={pl}}}"),
+        LossModel::GilbertElliott { p_gb, p_bg, .. } => {
+            format!("gilbert-elliott{{p_gb={p_gb},p_bg={p_bg}}}")
         }
     };
-    let transport = match &config.components.transport {
-        Some(spec) => spec_of(spec),
-        None => {
-            use lifting_net::TransportPolicy;
-            if config.network.transports == TransportPolicy::all_udp() {
-                "all-udp".to_string()
-            } else if config.network.transports == TransportPolicy::all_tcp() {
-                "all-tcp".to_string()
-            } else {
-                "paper".to_string()
+    let name = config.capability.name();
+    let capability = match config.capability {
+        CapabilityModel::PoorFraction { fraction, .. } if fraction > 0.0 => {
+            format!("{name}{{fraction={fraction}}}")
+        }
+        CapabilityModel::PoorFraction { .. } => name.to_string(),
+        CapabilityModel::Tiered { fiber, cable, dsl } => {
+            format!("{name}{{fiber={fiber},cable={cable},dsl={dsl}}}")
+        }
+    };
+    let workload = match config.workload {
+        Some(model) => {
+            let name = model.name();
+            match model {
+                WorkloadModel::Diurnal(m) => format!(
+                    "{name}{{participation={},cycle={}s}}",
+                    m.participation,
+                    m.cycle.as_secs_f64()
+                ),
+                WorkloadModel::RegionalFailure(m) => {
+                    format!("{name}{{regions={},waves={}}}", m.regions, m.waves)
+                }
+                WorkloadModel::Zap(m) => format!("{name}{{zappers={}}}", m.zappers),
             }
         }
-    };
-    let loss = match &config.components.loss {
-        Some(spec) => spec_of(spec),
-        None => match config.network.loss {
-            lifting_net::LossModel::None => "none".to_string(),
-            lifting_net::LossModel::Bernoulli { pl } => format!("bernoulli{{pl={pl}}}"),
-            lifting_net::LossModel::GilbertElliott { p_gb, p_bg, .. } => {
-                format!("gilbert-elliott{{p_gb={p_gb},p_bg={p_bg}}}")
-            }
-        },
-    };
-    let capability = match &config.components.capability {
-        Some(spec) => spec_of(spec),
-        None if config.poor_node_fraction > 0.0 => {
-            format!("poor-fraction{{fraction={}}}", config.poor_node_fraction)
-        }
-        None => "uniform".to_string(),
-    };
-    let workload = match &config.components.workload {
-        Some(spec) => spec_of(spec),
         None if config.churn.is_some() => "churn-schedule".to_string(),
         None => "static".to_string(),
     };
-    let adversary = match &config.components.adversary {
-        Some(spec) => spec_of(spec),
-        None => match config.adversary {
-            AdversaryScenario::Baseline if config.freerider_count() == 0 => "none".to_string(),
-            AdversaryScenario::Baseline if config.collusion.is_active() => "colluders".to_string(),
-            AdversaryScenario::Baseline => "baseline".to_string(),
-            AdversaryScenario::OnOff { .. } => "on-off".to_string(),
-            AdversaryScenario::BlameSpam { .. } => "blame-spam".to_string(),
-            AdversaryScenario::SelectiveFreerider { .. } => "selective-freerider".to_string(),
-            AdversaryScenario::GradientFreerider { .. } => "gradient-freerider".to_string(),
-            AdversaryScenario::Whitewasher { .. } => "whitewasher".to_string(),
-            AdversaryScenario::AdaptiveColluders { .. } => "adaptive-colluders".to_string(),
-        },
-    };
-    let exporter = match &config.components.exporter {
-        Some(spec) => spec_of(spec),
-        None => "summary-line".to_string(),
+    let adversary = match config.adversary {
+        AdversaryScenario::Baseline if config.freerider_count() == 0 => "none",
+        AdversaryScenario::Baseline if config.collusion.is_active() => "colluders",
+        AdversaryScenario::Baseline => "baseline",
+        AdversaryScenario::OnOff { .. } => "on-off",
+        AdversaryScenario::BlameSpam { .. } => "blame-spam",
+        AdversaryScenario::SelectiveFreerider { .. } => "selective-freerider",
+        AdversaryScenario::GradientFreerider { .. } => "gradient-freerider",
+        AdversaryScenario::Whitewasher { .. } => "whitewasher",
+        AdversaryScenario::AdaptiveColluders { .. } => "adaptive-colluders",
     };
     vec![
-        ("transport", transport),
+        ("transport", transport.to_string()),
         ("loss", loss),
         ("capability", capability),
         ("workload", workload),
-        ("adversary", adversary),
-        ("exporter", exporter),
+        ("adversary", adversary.to_string()),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ComponentSpec;
 
     #[test]
-    fn adversary_components_cover_every_family() {
-        let registry = adversary_components();
-        let mut seeds = SeedSplitter::new(1);
+    fn every_exporter_builds_and_renders() {
+        let registry = exporter_components();
         assert_eq!(
-            registry
-                .build("baseline", &ParamMap::new(), &mut seeds)
-                .unwrap(),
-            AdversaryScenario::Baseline
+            registry.names().collect::<Vec<_>>(),
+            vec!["json", "summary-line", "digest"]
         );
-        let on_off = registry
-            .build("on-off", &ParamMap::new(), &mut seeds)
-            .unwrap();
-        assert_eq!(
-            on_off,
-            AdversaryScenario::OnOff {
-                on_periods: 2,
-                off_periods: 2
-            }
-        );
-        assert!(registry.names().any(|n| n == "whitewasher"));
-        assert_eq!(registry.len(), 7);
-    }
-
-    #[test]
-    fn bad_adversary_params_are_structured_errors() {
-        let registry = adversary_components();
-        let mut seeds = SeedSplitter::new(1);
-        let params = ParamMap::new().with("step", ParamValue::Float(0.0));
-        let err = registry
-            .build("gradient-freerider", &params, &mut seeds)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.to_string().contains("step"), "{err}");
-        let params = ParamMap::new().with("silent_mask", ParamValue::Int(0));
-        let err = registry
-            .build("selective-freerider", &params, &mut seeds)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.to_string().contains("silent_mask"), "{err}");
-    }
-
-    #[test]
-    fn workload_components_build_their_generators() {
-        let registry = workload_components();
-        let mut seeds = SeedSplitter::new(1);
-        for name in ["diurnal", "regional-failure", "zap"] {
-            let generator = registry.build(name, &ParamMap::new(), &mut seeds).unwrap();
-            assert_eq!(generator.name(), name);
+        let outcome = crate::run_scenario(ScenarioConfig::small_test(10, 1));
+        for name in registry.names() {
+            let exporter = registry
+                .build(name, &ParamMap::new(), &mut SeedSplitter::new(0))
+                .unwrap_or_else(|e| panic!("exporter {name} failed to build: {e}"));
+            assert_eq!(exporter.name(), name);
+            assert!(!exporter.export("smoke", -9.75, &outcome).is_empty());
         }
-        let params = ParamMap::new().with("cycle_secs", ParamValue::Float(-1.0));
-        assert!(registry.build("diurnal", &params, &mut seeds).is_err());
     }
 
     #[test]
-    fn resolution_writes_back_into_the_legacy_fields() {
-        let mut config = crate::scenario::ScenarioConfig::small_test(10, 3);
-        config.components.transport = Some(ComponentSpec::new("all-tcp"));
-        config.components.loss =
-            Some(ComponentSpec::new("bernoulli").with("pl", ParamValue::Float(0.02)));
-        resolve_components(&mut config).unwrap();
+    fn summary_renders_the_typed_fields() {
+        let config = ScenarioConfig::planetlab_baseline(1);
         assert_eq!(
-            config.network.transports,
-            lifting_net::TransportPolicy::all_tcp()
-        );
-        assert_eq!(
-            config.network.loss,
-            lifting_net::LossModel::Bernoulli { pl: 0.02 }
-        );
-    }
-
-    #[test]
-    fn resolution_rejects_unknown_components_cleanly() {
-        let mut config = crate::scenario::ScenarioConfig::small_test(10, 3);
-        config.components.workload = Some(ComponentSpec::new("tidal"));
-        let err = resolve_components(&mut config).unwrap_err();
-        assert!(matches!(err, ComponentError::UnknownComponent { .. }));
-        assert!(err.to_string().contains("tidal"), "{err}");
-    }
-
-    #[test]
-    fn summary_covers_every_axis() {
-        let config = crate::scenario::ScenarioConfig::planetlab_baseline(1);
-        let summary = component_summary(&config);
-        let axes: Vec<&str> = summary.iter().map(|(k, _)| *k).collect();
-        assert_eq!(
-            axes,
+            component_summary(&config),
             vec![
-                "transport",
-                "loss",
-                "capability",
-                "workload",
-                "adversary",
-                "exporter"
+                ("transport", "paper".to_string()),
+                ("loss", "bernoulli{pl=0.04}".to_string()),
+                ("capability", "poor-fraction{fraction=0.1}".to_string()),
+                ("workload", "static".to_string()),
+                ("adversary", "none".to_string()),
             ]
         );
     }

@@ -38,10 +38,7 @@ pub mod runner;
 pub mod scenario;
 pub mod world;
 
-pub use components::{
-    adversary_components, component_summary, exporter_components, resolve_components,
-    workload_components, OutcomeExporter,
-};
+pub use components::{component_summary, exporter_components, OutcomeExporter};
 pub use layers::{Adversary, AuditRpcStats, FeedbackAction, NodeStack};
 pub use message::{Event, Message};
 pub use metrics::{
@@ -57,8 +54,9 @@ pub use runner::{
     run_scenarios_parallel, run_scenarios_parallel_with_snapshots,
 };
 pub use scenario::{
-    AdversaryScenario, AuditRetryPolicy, ChurnSchedule, ChurnWave, CollusionScenario,
-    ComponentSpec, ComponentsSpec, FaultSchedule, FaultWave, FreeriderScenario,
-    OnlineRecalibration, ScenarioConfig, StreamAudience, StreamSpec,
+    AdversaryScenario, AuditRetryPolicy, CapabilityModel, ChurnSchedule, ChurnWave,
+    CollusionScenario, DiurnalCycle, FaultSchedule, FaultWave, FreeriderScenario,
+    OnlineRecalibration, RegionalFailureWaves, ScenarioConfig, StreamAudience, StreamSpec,
+    WorkloadModel, ZapSwitching,
 };
 pub use world::SystemWorld;

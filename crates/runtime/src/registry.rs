@@ -14,10 +14,10 @@ use lifting_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::{
-    AdversaryScenario, AuditRetryPolicy, ChurnSchedule, ChurnWave, ComponentSpec, FaultSchedule,
-    FaultWave, OnlineRecalibration, ScenarioConfig, StreamAudience, StreamSpec,
+    AdversaryScenario, AuditRetryPolicy, CapabilityModel, ChurnSchedule, ChurnWave, DiurnalCycle,
+    FaultSchedule, FaultWave, OnlineRecalibration, RegionalFailureWaves, ScenarioConfig,
+    StreamAudience, StreamSpec, WorkloadModel, ZapSwitching,
 };
-use lifting_sim::ParamValue;
 
 /// The family prefix of a scenario name: the part before the first `/`
 /// (`"fig01"`, `"churn"`, `"workload"`, …). Scenario names are
@@ -702,9 +702,8 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     );
 
     // ------------------------------------------------------------------
-    // workload/ — trace-driven membership workloads expanded from registered
-    // generator components (see `lifting_membership::workload` and the
-    // component registry in `crate::components`). Where the churn/ family
+    // workload/ — trace-driven membership workloads expanded from typed
+    // workload models (see `lifting_membership::workload`). Where the churn/ family
     // draws sessions from exponential distributions, these replay shaped
     // audience behaviour: diurnal participation swings, correlated regional
     // outages, and zap-style channel surfing.
@@ -726,14 +725,14 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "Diurnal audience: participation swings around 60% over a sinusoidal cycle, tiered access classes (fiber/cable/DSL/mobile), 10% freeriders",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_workload(0.1)(scale, seed);
-            // The tiered capability component replaces the flat poor-node draw.
-            config.poor_node_fraction = 0.0;
-            config.components.capability = Some(ComponentSpec::new("tiered"));
-            config.components.workload = Some(
-                ComponentSpec::new("diurnal")
-                    .with("participation", ParamValue::Float(0.6))
-                    .with("cycle_secs", ParamValue::Float(12.0)),
-            );
+            // The tiered capability model replaces the flat poor-node draw.
+            config.capability = CapabilityModel::tiered();
+            config.workload = Some(WorkloadModel::Diurnal(DiurnalCycle {
+                participation: 0.6,
+                cycle: SimDuration::from_secs(12),
+                offline_fraction: 0.35,
+                warmup: SimDuration::from_secs(4),
+            }));
             config
         },
     );
@@ -742,11 +741,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "Regional-failure waves: the population splits into 4 regions and 2 correlated outages knock whole regions offline before they rejoin",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_workload(0.1)(scale, seed);
-            config.components.workload = Some(
-                ComponentSpec::new("regional-failure")
-                    .with("regions", ParamValue::Int(4))
-                    .with("waves", ParamValue::Int(2)),
-            );
+            config.workload = Some(WorkloadModel::RegionalFailure(RegionalFailureWaves {
+                regions: 4,
+                waves: 2,
+                outage: SimDuration::from_secs(4),
+                warmup: SimDuration::from_secs(5),
+            }));
             config
         },
     );
@@ -759,9 +759,11 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             let chunk = config.chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
             config.streams.push(StreamSpec::new(200_000, chunk));
-            config.components.workload = Some(
-                ComponentSpec::new("zap").with("zappers", ParamValue::Float(0.5)),
-            );
+            config.workload = Some(WorkloadModel::Zap(ZapSwitching {
+                zappers: 0.5,
+                mean_dwell: SimDuration::from_secs(6),
+                warmup: SimDuration::from_secs(3),
+            }));
             config
         },
     );
@@ -859,13 +861,28 @@ mod tests {
 
     #[test]
     fn every_builtin_scenario_validates_at_both_scales() {
+        // `validate` checks the capability and workload ranges too, so this
+        // also covers every model the registry instantiates.
         let registry = ScenarioRegistry::builtin();
+        let mut models = std::collections::BTreeSet::new();
         for name in registry.names() {
             for scale in [Scale::Paper, Scale::Quick] {
                 let config = registry.build(name, scale, 7);
                 config.validate();
                 assert_eq!(config.seed, 7, "{name} must thread the seed through");
+                models.insert(config.capability.name());
+                models.extend(config.workload.map(|w| w.name()));
             }
+        }
+        for model in [
+            "uniform",
+            "poor-fraction",
+            "tiered",
+            "diurnal",
+            "regional-failure",
+            "zap",
+        ] {
+            assert!(models.contains(model), "no scenario uses the {model} model");
         }
     }
 

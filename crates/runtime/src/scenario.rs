@@ -3,79 +3,13 @@
 use lifting_core::LiftingConfig;
 use lifting_gossip::{FreeriderConfig, GossipConfig};
 use lifting_net::NetworkConfig;
-use lifting_sim::{ParamMap, ParamValue, SimDuration, StreamId};
+use lifting_sim::{SimDuration, StreamId};
 use serde::{Deserialize, Serialize};
 
-pub use lifting_membership::{ChurnSchedule, ChurnWave};
-pub use lifting_net::{FaultSchedule, FaultWave};
-
-/// One named component with its parameter overrides — an entry of the
-/// declarative [`ScenarioConfig::components`] section. The name is looked up
-/// in the axis's [`lifting_sim::ComponentRegistry`] and the parameters are
-/// validated against the component's schema at resolution time (see
-/// [`crate::components::resolve_components`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ComponentSpec {
-    /// Registered component name (e.g. `"tiered"`, `"diurnal"`).
-    pub name: String,
-    /// Parameter overrides; unset parameters take the schema's defaults.
-    pub params: ParamMap,
-}
-
-impl ComponentSpec {
-    /// A spec with no parameter overrides.
-    pub fn new(name: impl Into<String>) -> Self {
-        ComponentSpec {
-            name: name.into(),
-            params: ParamMap::new(),
-        }
-    }
-
-    /// Adds a parameter override (builder style).
-    pub fn with(mut self, key: &str, value: ParamValue) -> Self {
-        self.params.set(key, value);
-        self
-    }
-}
-
-/// The declarative component composition of a scenario: which registered
-/// component provides each axis of the system. Every field is optional — an
-/// unset axis falls back to the legacy configuration fields, which keeps
-/// every pre-registry scenario bit-identical while letting new scenarios
-/// compose `transport + loss + capability + workload + adversary + exporter`
-/// by name.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ComponentsSpec {
-    /// Transport policy (see [`lifting_net::provider::transport_components`]).
-    pub transport: Option<ComponentSpec>,
-    /// Loss model (see [`lifting_net::provider::loss_components`]).
-    pub loss: Option<ComponentSpec>,
-    /// Per-node capability class assignment (see
-    /// [`lifting_net::provider::capability_components`]).
-    pub capability: Option<ComponentSpec>,
-    /// Trace-driven workload generator (see
-    /// [`crate::components::workload_components`]). Mutually exclusive with
-    /// [`ScenarioConfig::churn`] — both drive membership transitions.
-    pub workload: Option<ComponentSpec>,
-    /// Adversary family (see [`crate::components::adversary_components`]);
-    /// resolves into [`ScenarioConfig::adversary`].
-    pub adversary: Option<ComponentSpec>,
-    /// Outcome exporter the binaries render results through (see
-    /// [`crate::components::exporter_components`]).
-    pub exporter: Option<ComponentSpec>,
-}
-
-impl ComponentsSpec {
-    /// True if no axis is declared (the scenario is fully legacy-configured).
-    pub fn is_empty(&self) -> bool {
-        self.transport.is_none()
-            && self.loss.is_none()
-            && self.capability.is_none()
-            && self.workload.is_none()
-            && self.adversary.is_none()
-            && self.exporter.is_none()
-    }
-}
+pub use lifting_membership::{
+    ChurnSchedule, ChurnWave, DiurnalCycle, RegionalFailureWaves, WorkloadModel, ZapSwitching,
+};
+pub use lifting_net::{CapabilityModel, FaultSchedule, FaultWave};
 
 /// Bounded retry for the audit RPCs (history polls and witness
 /// cross-checks) — the resilience hardening of the a-posteriori plane.
@@ -397,7 +331,7 @@ impl AdversaryScenario {
             AdversaryScenario::SelectiveFreerider { silent_mask } => {
                 assert!(
                     *silent_mask != 0,
-                    "a selective freerider must silence at least one stream"
+                    "a selective freerider's silent_mask must silence at least one stream"
                 );
             }
             AdversaryScenario::GradientFreerider { margin, step } => {
@@ -496,20 +430,17 @@ pub struct ScenarioConfig {
     /// Online recalibration of the detection threshold from the live score
     /// stream; `None` keeps the static `η` of [`LiftingConfig::eta`].
     pub online_recalibration: Option<OnlineRecalibration>,
-    /// Fraction of honest nodes with poor connectivity (low uplink and extra
-    /// loss) — the paper attributes most false positives to such nodes.
-    pub poor_node_fraction: f64,
     /// Uplink of a well-provisioned node, bits per second (`None` =
     /// unconstrained).
     pub default_upload_bps: Option<u64>,
-    /// Uplink of a poor node, bits per second.
-    pub poor_upload_bps: u64,
-    /// Extra access-link loss of a poor node.
-    pub poor_extra_loss: f64,
-    /// Declarative component composition: named providers for the transport,
-    /// loss, capability, workload, adversary and exporter axes. Unset axes
-    /// fall back to the legacy fields above, bit-identically.
-    pub components: ComponentsSpec,
+    /// How access-link quality is spread over the population: a fraction of
+    /// poorly connected honest nodes (the paper attributes most false
+    /// positives to them) or access-technology tiers.
+    pub capability: CapabilityModel,
+    /// Trace-driven membership and channel dynamics; `None` keeps the
+    /// population static. Mutually exclusive with [`ScenarioConfig::churn`]
+    /// — both drive membership transitions.
+    pub workload: Option<WorkloadModel>,
     /// Total simulated duration.
     pub duration: SimDuration,
     /// Master seed.
@@ -540,11 +471,13 @@ impl ScenarioConfig {
             faults: None,
             audit_retry: None,
             online_recalibration: None,
-            poor_node_fraction: 0.1,
             default_upload_bps: Some(5_000_000),
-            poor_upload_bps: 800_000,
-            poor_extra_loss: 0.03,
-            components: ComponentsSpec::default(),
+            capability: CapabilityModel::PoorFraction {
+                fraction: 0.1,
+                poor_upload_bps: 800_000,
+                poor_extra_loss: 0.03,
+            },
+            workload: None,
             duration: SimDuration::from_secs(40),
             seed,
         }
@@ -589,11 +522,13 @@ impl ScenarioConfig {
             faults: None,
             audit_retry: None,
             online_recalibration: None,
-            poor_node_fraction: 0.0,
             default_upload_bps: None,
-            poor_upload_bps: 500_000,
-            poor_extra_loss: 0.0,
-            components: ComponentsSpec::default(),
+            capability: CapabilityModel::PoorFraction {
+                fraction: 0.0,
+                poor_upload_bps: 500_000,
+                poor_extra_loss: 0.0,
+            },
+            workload: None,
             duration: SimDuration::from_secs(15),
             seed,
         }
@@ -648,7 +583,9 @@ impl ScenarioConfig {
     /// # Panics
     ///
     /// Panics if the population is too small, the freerider count exceeds the
-    /// population, or a fraction is out of range.
+    /// population, or a parameter is out of range. This is the one place the
+    /// scenario's ranges are checked: each typed model (loss, capability,
+    /// workload, adversary, churn, faults, …) contributes its own `validate`.
     pub fn validate(&self) {
         assert!(self.nodes >= 3, "at least three nodes are required");
         self.gossip.validate();
@@ -663,10 +600,8 @@ impl ScenarioConfig {
             self.freerider_count() < self.nodes,
             "freeriders must be a strict subset of the population"
         );
-        assert!(
-            (0.0..=1.0).contains(&self.poor_node_fraction),
-            "poor-node fraction out of range"
-        );
+        self.network.loss.validate();
+        self.capability.validate();
         assert!(
             (0.0..=1.0).contains(&self.collusion.partner_bias),
             "partner bias out of range"
@@ -692,10 +627,13 @@ impl ScenarioConfig {
             );
         }
         assert!(!self.duration.is_zero(), "duration must be positive");
-        assert!(
-            self.components.workload.is_none() || self.churn.is_none(),
-            "a workload generator and a churn schedule cannot drive membership simultaneously"
-        );
+        if let Some(workload) = &self.workload {
+            workload.validate(self.stream_count());
+            assert!(
+                self.churn.is_none(),
+                "a workload model and a churn schedule cannot drive membership simultaneously"
+            );
+        }
         self.adversary.validate();
         if let Some(churn) = &self.churn {
             churn.validate();
@@ -837,6 +775,140 @@ mod tests {
             man_in_the_middle: false,
         };
         s.validate();
+    }
+
+    /// Every typed range is checked by `validate`, and the panic names the
+    /// offending field.
+    #[test]
+    fn validate_rejects_every_out_of_range_field_by_name() {
+        let diurnal = DiurnalCycle {
+            participation: 0.5,
+            cycle: SimDuration::from_secs(4),
+            offline_fraction: 0.25,
+            warmup: SimDuration::ZERO,
+        };
+        let zap = ZapSwitching {
+            zappers: 0.5,
+            mean_dwell: SimDuration::from_secs(2),
+            warmup: SimDuration::ZERO,
+        };
+        let two_streams = |c: &mut ScenarioConfig| {
+            c.streams
+                .push(StreamSpec::new(c.stream_rate_bps, c.chunk_size))
+        };
+        type Case = (&'static str, Box<dyn Fn(&mut ScenarioConfig)>);
+        let cases: Vec<Case> = vec![
+            (
+                "poor_upload_bps",
+                Box::new(|c| {
+                    c.capability = CapabilityModel::PoorFraction {
+                        fraction: 0.1,
+                        poor_upload_bps: 0,
+                        poor_extra_loss: 0.0,
+                    }
+                }),
+            ),
+            (
+                "fiber",
+                Box::new(|c| {
+                    c.capability = CapabilityModel::Tiered {
+                        fiber: 0.5,
+                        cable: 0.4,
+                        dsl: 0.3,
+                    }
+                }),
+            ),
+            (
+                "regions",
+                Box::new(|c| {
+                    c.workload = Some(WorkloadModel::RegionalFailure(RegionalFailureWaves {
+                        regions: 0,
+                        waves: 1,
+                        outage: SimDuration::from_secs(1),
+                        warmup: SimDuration::ZERO,
+                    }))
+                }),
+            ),
+            (
+                "participation",
+                Box::new(move |c| {
+                    c.workload = Some(WorkloadModel::Diurnal(DiurnalCycle {
+                        participation: 1.5,
+                        ..diurnal
+                    }))
+                }),
+            ),
+            (
+                "cycle",
+                Box::new(move |c| {
+                    c.workload = Some(WorkloadModel::Diurnal(DiurnalCycle {
+                        cycle: SimDuration::ZERO,
+                        ..diurnal
+                    }))
+                }),
+            ),
+            (
+                "zappers",
+                Box::new(move |c| {
+                    two_streams(c);
+                    c.workload = Some(WorkloadModel::Zap(ZapSwitching {
+                        zappers: 1.5,
+                        ..zap
+                    }));
+                }),
+            ),
+            (
+                // On one stream a zap plan is empty: the workload would do nothing.
+                "streams",
+                Box::new(move |c| c.workload = Some(WorkloadModel::Zap(zap))),
+            ),
+            (
+                "step",
+                Box::new(|c| {
+                    c.adversary = AdversaryScenario::GradientFreerider {
+                        margin: 1.0,
+                        step: 0.0,
+                    }
+                }),
+            ),
+            (
+                "silent_mask",
+                Box::new(move |c| {
+                    two_streams(c);
+                    c.adversary = AdversaryScenario::SelectiveFreerider { silent_mask: 0 };
+                }),
+            ),
+            (
+                "pl",
+                Box::new(|c| c.network.loss = lifting_net::LossModel::bernoulli(1.5)),
+            ),
+        ];
+        let base = || ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
+        base().validate();
+        // The in-range neighbours of the cases above pass.
+        let mut valid = base();
+        two_streams(&mut valid);
+        valid.capability = CapabilityModel::tiered();
+        valid.workload = Some(WorkloadModel::Zap(zap));
+        valid.validate();
+
+        for (field, mutate) in &cases {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut config = base();
+                mutate(&mut config);
+                config.validate();
+            }));
+            let payload = result.expect_err(&format!("an invalid `{field}` must not validate"));
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains(field),
+                "the panic for `{field}` must name it, got {message:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,7 @@
-//! Generic component/provider registry.
-//!
-//! Scenarios in the reproduction used to be built by hand-enumerated
-//! constructors: every new axis (transport policy, loss model, workload
-//! shape, adversary, exporter) multiplied the scenario list. This module
-//! provides the uniform machinery that turns that O(product) enumeration
-//! into O(sum) composition: each axis registers *components* — named,
-//! self-describing factories — in a [`ComponentRegistry`], and a scenario is
-//! just a composition of component names plus parameter maps.
+//! Generic component/provider registry: named, self-describing factories
+//! looked up by name with schema-validated parameters. The runtime's outcome
+//! exporters (`json`, `summary-line`, `digest`) are its one user; scenario
+//! configuration itself is typed and does not go through it.
 //!
 //! The framework is deliberately small and embedding-agnostic:
 //!
@@ -409,8 +404,7 @@ impl SeedSplitter {
 /// A named, self-describing factory for providers of type `P`.
 ///
 /// `P` is the provider the embedding crate wants out of this registry kind:
-/// a `TransportPolicy`, a boxed `WorkloadGenerator`, a boxed adversary
-/// factory, an exporter — the framework does not care.
+/// a boxed exporter, a policy value — the framework does not care.
 pub trait Component<P>: Send + Sync {
     /// Registry-unique component name (e.g. `"diurnal"`).
     fn name(&self) -> &'static str;

@@ -18,8 +18,11 @@ fn scenario(freerider_fraction: f64, lifting_enabled: bool, seed: u64) -> Scenar
     config.duration = SimDuration::from_secs(if quick { 10 } else { 30 });
     config.network = NetworkConfig::planetlab(0.04);
     config.default_upload_bps = Some(2_000_000);
-    config.poor_node_fraction = 0.05;
-    config.poor_upload_bps = 500_000;
+    config.capability = CapabilityModel::PoorFraction {
+        fraction: 0.05,
+        poor_upload_bps: 500_000,
+        poor_extra_loss: 0.0,
+    };
     config.lifting_enabled = lifting_enabled;
     if freerider_fraction > 0.0 {
         // Aggressive freeriders: they keep only ~45 % of their upload duty.

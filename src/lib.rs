@@ -53,12 +53,12 @@ pub mod prelude {
     pub use lifting_core::{Auditor, Blame, LiftingConfig, Verifier};
     pub use lifting_gossip::{Behavior, FreeriderConfig, GossipConfig, GossipNode, StreamSource};
     pub use lifting_membership::{Directory, PartnerSelector, SelectionPolicy};
-    pub use lifting_net::{LatencyModel, LossModel, Network, NetworkConfig};
+    pub use lifting_net::{CapabilityModel, LatencyModel, LossModel, Network, NetworkConfig};
     pub use lifting_reputation::{ManagerAssignment, ManagerState};
     pub use lifting_runtime::{
         run_scenario, run_scenario_with_snapshots, AdversaryScenario, CollusionScenario,
         FreeriderScenario, RunOutcome, Scale, ScenarioConfig, ScenarioRegistry, StreamAudience,
-        StreamSpec,
+        StreamSpec, WorkloadModel,
     };
     pub use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
 }
